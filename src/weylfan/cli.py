@@ -10,8 +10,9 @@ Every value printed to stdout is exact and deterministic; anything that
 depends on the clock goes to stderr.  Exit codes: 0 success, 2 usage or
 refused request, 3 a cross-check disagreed, 4 output could not be written.
 
-Configuration precedence is flag, then ``WEYLFAN_*`` environment variable,
-then default (threads 1, cell-oracle cap 4, flat-oracle cap 6).
+The oracle caps are a flag, then a ``WEYLFAN_ORACLE_CAP_*`` environment
+variable, then the default (cells 4, flats 6); they are read only by the
+commands that run the oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 from . import counting as ct
@@ -57,11 +57,11 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    threads: int
-    cap_cells: int
-    cap_flats: int
+# table -> (flag destination, environment variable, default) of its oracle cap
+_ORACLE_CAPS = {
+    "faces": ("oracle_cap_cells", "WEYLFAN_ORACLE_CAP_CELLS", 4),
+    "flats": ("oracle_cap_flats", "WEYLFAN_ORACLE_CAP_FLATS", 6),
+}
 
 
 def _env_int(name: str, default: int) -> int:
@@ -74,19 +74,15 @@ def _env_int(name: str, default: int) -> int:
         raise UsageError(f"{name} must be an integer, got {raw!r}") from None
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    threads = getattr(args, "threads", None)
-    if threads is None:
-        threads = _env_int("WEYLFAN_THREADS", 1)
-    cap_cells = getattr(args, "oracle_cap_cells", None)
-    if cap_cells is None:
-        cap_cells = _env_int("WEYLFAN_ORACLE_CAP_CELLS", 4)
-    cap_flats = getattr(args, "oracle_cap_flats", None)
-    if cap_flats is None:
-        cap_flats = _env_int("WEYLFAN_ORACLE_CAP_FLATS", 6)
-    if threads < 1:
-        raise UsageError("threads must be at least 1")
-    return RunConfig(threads=threads, cap_cells=cap_cells, cap_flats=cap_flats)
+def _oracle_cap(args: argparse.Namespace, table: str) -> int:
+    """Cap of the oracle behind one table: flag, then environment, then default.
+
+    Resolved only where that oracle runs, so a malformed variable cannot
+    break a command that never consults it.
+    """
+    dest, env, default = _ORACLE_CAPS[table]
+    cap = getattr(args, dest)
+    return _env_int(env, default) if cap is None else cap
 
 
 def _emit(text: str, out: Optional[str]) -> int:
@@ -109,7 +105,7 @@ def _jsonline(obj) -> str:
 # --- count -------------------------------------------------------------------
 
 
-def _count_row(table: str, n: int, method: str, cfg: RunConfig) -> list[int]:
+def _count_row(table: str, n: int, method: str, args: argparse.Namespace) -> list[int]:
     """One table row by one method; raises UsageError when the method does
     not apply at this rank (or at all)."""
     if method == "recurrence":
@@ -131,15 +127,16 @@ def _count_row(table: str, n: int, method: str, cfg: RunConfig) -> list[int]:
             return [sum(1 for _ in enumerate_chains(n, k)) for k in range(n + 1)]
         return [sum(1 for _ in enumerate_ensembles(n, k)) for k in range(n + 1)]
     assert method == "oracle"
+    cap = _oracle_cap(args, table)
     try:
         if table == "faces":
-            return enumerate_cells(n, cap=cfg.cap_cells, threads=cfg.threads).counts
-        return enumerate_flats_geometric(n, cap=cfg.cap_flats).counts
+            return enumerate_cells(n, cap=cap).counts
+        return enumerate_flats_geometric(n, cap=cap).counts
     except CapExceeded as exc:
         raise UsageError(str(exc)) from None
 
 
-def cmd_count(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_count(args: argparse.Namespace) -> int:
     table, n = args.table, args.n
     if n < 0:
         print("n must be nonnegative", file=sys.stderr)
@@ -148,35 +145,35 @@ def cmd_count(args: argparse.Namespace, cfg: RunConfig) -> int:
         print(f"k must be between 0 and {n}", file=sys.stderr)
         return 2
 
-    if args.method == "all":
-        methods = ["recurrence", "series"]
-        if table == "faces":
-            methods.append("closed-form")
-        if n <= ENUMERATION_BOUND:
-            methods.append("enumerate")
-        cap = cfg.cap_cells if table == "faces" else cfg.cap_flats
-        if n <= cap:
-            methods.append("oracle")
+    try:
+        if args.method == "all":
+            methods = ["recurrence", "series"]
+            if table == "faces":
+                methods.append("closed-form")
+            if n <= ENUMERATION_BOUND:
+                methods.append("enumerate")
+            cap = _oracle_cap(args, table)
+            if n <= cap:
+                methods.append("oracle")
+            else:
+                print(f"skipped: oracle (cap {cap})", file=sys.stderr)
+            rows = {m: _count_row(table, n, m, args) for m in methods}
+            reference = rows["recurrence"]
+            for m, row in rows.items():
+                if row != reference:
+                    print(
+                        f"method disagreement on {table} n={n}: "
+                        f"recurrence gives {reference}, {m} gives {row}",
+                        file=sys.stderr,
+                    )
+                    return 3
+            print(f"cross-checked: {', '.join(methods)}", file=sys.stderr)
+            row = reference
         else:
-            print(f"skipped: oracle (cap {cap})", file=sys.stderr)
-        rows = {m: _count_row(table, n, m, cfg) for m in methods}
-        reference = rows["recurrence"]
-        for m, row in rows.items():
-            if row != reference:
-                print(
-                    f"method disagreement on {table} n={n}: "
-                    f"recurrence gives {reference}, {m} gives {row}",
-                    file=sys.stderr,
-                )
-                return 3
-        print(f"cross-checked: {', '.join(methods)}", file=sys.stderr)
-        row = reference
-    else:
-        try:
-            row = _count_row(table, n, args.method, cfg)
-        except UsageError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+            row = _count_row(table, n, args.method, args)
+    except UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     provenance = _PROVENANCE_BY_METHOD[args.method]
     if args.k is None:
@@ -257,7 +254,7 @@ def _record_text(kind: str, rec: dict) -> str:
     return f"{rec['dim']}\t" + (" ".join(parts) or "-")
 
 
-def cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_enumerate(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if n < 1:
         print("n must be at least 1", file=sys.stderr)
@@ -295,7 +292,7 @@ def cmd_enumerate(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- graph -------------------------------------------------------------------
 
 
-def cmd_graph(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_graph(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
         print("n must be at least 1", file=sys.stderr)
@@ -307,9 +304,9 @@ def cmd_graph(args: argparse.Namespace, cfg: RunConfig) -> int:
         )
         return 2
     if args.format == "dot":
-        text = inc.adjacency_dot(n, threads=cfg.threads)
+        text = inc.adjacency_dot(n)
     else:
-        chambers, edges = inc.chamber_adjacency_graph(n, threads=cfg.threads)
+        chambers, edges = inc.chamber_adjacency_graph(n)
         payload = {
             "nodes": [c.char_string() for c in chambers],
             "edges": [[a, b] for a, b in edges],
@@ -378,16 +375,22 @@ def _verify_tables() -> int:
     return 0
 
 
-def _verify_oracle(n: int, cfg: RunConfig) -> int:
+def _verify_oracle(n: int, args: argparse.Namespace) -> int:
+    try:
+        cap_cells = _oracle_cap(args, "faces")
+        cap_flats = _oracle_cap(args, "flats")
+    except UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     started = time.monotonic()
     try:
-        cells = enumerate_cells(n, cap=cfg.cap_cells, threads=cfg.threads)
+        cells = enumerate_cells(n, cap=cap_cells)
     except CapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 2
     cells_done = time.monotonic()
     try:
-        flats = enumerate_flats_geometric(n, cap=cfg.cap_flats)
+        flats = enumerate_flats_geometric(n, cap=cap_flats)
     except CapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -420,7 +423,7 @@ def _verify_oracle(n: int, cfg: RunConfig) -> int:
     return 0 if report["match"] else 3
 
 
-def _verify_degenerate(cfg: RunConfig) -> int:
+def _verify_degenerate() -> int:
     failures = 0
     for tag in (wsys.TAG_SO_ODD_V, wsys.TAG_SP_V, wsys.TAG_SP_LAMBDA, wsys.TAG_SP_BOTH):
         report = check_weights_proportional_to_roots(weight_system(tag, 2))
@@ -451,7 +454,7 @@ def _verify_degenerate(cfg: RunConfig) -> int:
     simplex_row = [simplex_counts(2, k) for k in range(3)]
     print(f"simplex row n=2: {simplex_row}")
     for tag, n in ((wsys.TAG_SO_ODD_V, 2), (wsys.TAG_SP_BOTH, 2), (wsys.TAG_G2, None)):
-        counts = chamber_cell_counts(tag, n, threads=cfg.threads)
+        counts = chamber_cell_counts(tag, n)
         verdict = "matches" if counts == simplex_row else "MISMATCH"
         failures += 0 if counts == simplex_row else 1
         label = tag if n is None else f"{tag} n={n}"
@@ -460,7 +463,7 @@ def _verify_degenerate(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 3
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     if args.oracle:
         if args.n is None:
             print("verify --oracle needs -n", file=sys.stderr)
@@ -468,17 +471,16 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         if args.n < 1:
             print("n must be at least 1", file=sys.stderr)
             return 2
-        return _verify_oracle(args.n, cfg)
+        return _verify_oracle(args.n, args)
     if args.non_simply_laced:
-        return _verify_degenerate(cfg)
+        return _verify_degenerate()
     return _verify_tables()
 
 
 # --- wiring ------------------------------------------------------------------
 
 
-def _add_resource_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--threads", type=int, default=None)
+def _add_cap_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--oracle-cap-cells", type=int, default=None)
     sub.add_argument("--oracle-cap-flats", type=int, default=None)
 
@@ -504,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument("--format", choices=["text", "json", "csv"], default="text")
     count.add_argument("--out", default=None)
-    _add_resource_flags(count)
+    _add_cap_flags(count)
     count.set_defaults(func=cmd_count)
 
     enum = commands.add_parser("enumerate", help="stream objects, one per line")
@@ -520,14 +522,13 @@ def build_parser() -> argparse.ArgumentParser:
     graph.add_argument("-n", type=int, required=True)
     graph.add_argument("--format", choices=["dot", "json"], default="dot")
     graph.add_argument("--out", default=None)
-    _add_resource_flags(graph)
     graph.set_defaults(func=cmd_graph)
 
     verify = commands.add_parser("verify", help="run cross-checks")
     verify.add_argument("--oracle", action="store_true")
     verify.add_argument("--non-simply-laced", action="store_true")
     verify.add_argument("-n", type=int, default=None)
-    _add_resource_flags(verify)
+    _add_cap_flags(verify)
     verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -539,12 +540,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    try:
-        cfg = _resolve_config(args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    return args.func(args, cfg)
+    return args.func(args)
 
 
 if __name__ == "__main__":

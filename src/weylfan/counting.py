@@ -285,10 +285,6 @@ class CountTable:
             raise ValueError(f"unknown provenance tag {provenance!r}")
         return cls(kind, tuple((n, k, v, provenance) for k, v in enumerate(values)))
 
-    def row(self, n: int) -> list[int]:
-        pairs = sorted((k, v) for (m, k, v, _) in self.entries if m == n)
-        return [v for _, v in pairs]
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -306,14 +302,6 @@ class CountTable:
             ],
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def merge_tables(tables) -> CountTable:
-    kinds = {t.kind for t in tables}
-    if len(kinds) != 1:
-        raise ValueError("cannot merge tables of different kinds")
-    entries = tuple(e for t in tables for e in t.entries)
-    return CountTable(kinds.pop(), entries)
 
 
 # --- errata ------------------------------------------------------------------

@@ -8,12 +8,11 @@ counterparts live in the oracle subpackage and are only used to cross-check.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .chambers import Chamber, all_chambers, extreme_rays, ray_from_index, ray_index
+from .chambers import Chamber, all_chambers, ray_from_index
 from .poset import (
     INF,
     Chain,
@@ -101,30 +100,18 @@ def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
 
 def _nonneg_combination(gens, target):
     """Exact coefficients t >= 0 with sum t_c * gens[c] = target, else None."""
+    # imported here because the oracle package imports this module
+    from .oracle.linalg import RationalMatrix
+
     m = len(target)
     k = len(gens)
-    rows = [
-        [Fraction(gens[c][r]) for c in range(k)] + [Fraction(target[r])]
-        for r in range(m)
-    ]
-    pivots = []
-    lead = 0
-    for col in range(k):
-        p = next((i for i in range(lead, m) if rows[i][col] != 0), None)
-        if p is None:
-            continue
-        rows[lead], rows[p] = rows[p], rows[lead]
-        pv = rows[lead][col]
-        rows[lead] = [v / pv for v in rows[lead]]
-        for i in range(m):
-            if i != lead and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[lead])]
-        pivots.append(col)
-        lead += 1
+    augmented = [[gens[c][r] for c in range(k)] + [target[r]] for r in range(m)]
+    rows, pivots = RationalMatrix.from_rows(augmented).rref()
     t = [Fraction(0)] * k
+    # a pivot in the target column means no solution; the check below finds it
     for row_idx, col in enumerate(pivots):
-        t[col] = rows[row_idx][k]
+        if col < k:
+            t[col] = rows[row_idx][k]
     if any(v < 0 for v in t):
         return None
     for r in range(m):
@@ -213,46 +200,31 @@ def flats_of(n: int, k: int):
 
 
 def chamber_chain(chamber: Chamber) -> Chain:
-    """The maximal chain indexing a chamber's extreme rays, one per level."""
-    return tuple(ray_index(r) for r in extreme_rays(chamber))
+    """The maximal chain indexing a chamber's extreme rays, one per level.
+
+    Level l holds (pi_l, l - pi_l), where pi_l counts the subset members
+    above n - l: the index of extreme ray e_l, read off the subset.
+    """
+    n = chamber.n
+    chain = []
+    for l in range(1, n + 1):
+        pi = sum(1 for a in chamber.subset if a >= n - l + 1)
+        chain.append(PosetPoint(pi, l - pi))
+    return tuple(chain)
 
 
-def chamber_adjacency_graph(
-    n: int, *, threads: int = 1
-) -> tuple[list[Chamber], list[tuple[int, int]]]:
+def chamber_adjacency_graph(n: int) -> tuple[list[Chamber], list[tuple[int, int]]]:
     """Chambers in characteristic-vector order plus sorted edge index pairs.
 
     Two chambers are adjacent when their chains share all but one element,
-    i.e. they meet in a common wall.  Walls are collected in buckets; the
-    thread count only partitions the bucket-building pass and cannot change
-    the output.
+    i.e. they meet in a common wall.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
     chambers = all_chambers(n)
     chains = [frozenset(chamber_chain(c)) for c in chambers]
-
-    def build(bounds: tuple[int, int]) -> dict[frozenset, list[int]]:
-        local: dict[frozenset, list[int]] = {}
-        for idx in range(*bounds):
-            for p in chains[idx]:
-                local.setdefault(chains[idx] - {p}, []).append(idx)
-        return local
-
-    if threads == 1 or len(chambers) < 2 * threads:
-        buckets = [build((0, len(chambers)))]
-    else:
-        step = -(-len(chambers) // threads)
-        ranges = [
-            (lo, min(lo + step, len(chambers)))
-            for lo in range(0, len(chambers), step)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            buckets = list(pool.map(build, ranges))
     walls: dict[frozenset, list[int]] = {}
-    for bucket in buckets:
-        for wall, members in bucket.items():
-            walls.setdefault(wall, []).extend(members)
+    for idx, chain in enumerate(chains):
+        for p in chain:
+            walls.setdefault(chain - {p}, []).append(idx)
     edges = set()
     for members in walls.values():
         for a, b in itertools.combinations(sorted(members), 2):
@@ -260,9 +232,9 @@ def chamber_adjacency_graph(
     return chambers, sorted(edges)
 
 
-def adjacency_dot(n: int, *, threads: int = 1) -> str:
+def adjacency_dot(n: int) -> str:
     """Graphviz source for the chamber adjacency graph; stable output."""
-    chambers, edges = chamber_adjacency_graph(n, threads=threads)
+    chambers, edges = chamber_adjacency_graph(n)
     lines = ["graph chambers {"]
     for i, c in enumerate(chambers):
         lines.append(f'  c{i} [label="{c.char_string()}"];')

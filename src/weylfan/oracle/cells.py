@@ -9,7 +9,6 @@ child that shares its sign without any LP call.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -115,13 +114,12 @@ def enumerate_generic_cells(
     facet_rows: Sequence[Sequence],
     *,
     ambient_eqs: Sequence[Sequence] = (),
-    threads: int = 1,
     stats: Optional[dict] = None,
 ):
     """All feasible sign vectors over arbitrary cuts and facets.
 
     Returns (cells, counts) where each cell is (cut_signs, facet_signs,
-    cell_dim, witness), in depth-first order independent of thread count.
+    cell_dim, witness), in depth-first order.
     """
     if stats is None:
         stats = {}
@@ -137,7 +135,7 @@ def enumerate_generic_cells(
         weak = list(facet_rows[len(facet_signs):])
         return eq, strict, weak
 
-    def check(signs, inherited, st):
+    def check(signs, inherited):
         # the inherited witness may already realize every assigned sign
         if inherited is not None:
             ok = True
@@ -149,69 +147,40 @@ def enumerate_generic_cells(
                     ok = False
                     break
             if ok:
-                st["witness_hits"] = st.get("witness_hits", 0) + 1
+                stats["witness_hits"] = stats.get("witness_hits", 0) + 1
                 return inherited
-        st["nodes"] = st.get("nodes", 0) + 1
+        stats["nodes"] = stats.get("nodes", 0) + 1
         eq, strict, weak = slot_rows(signs)
-        return strict_feasible(eq, strict, weak, dim, stats=st)
+        return strict_feasible(eq, strict, weak, dim, stats=stats)
 
     def branches(pos):
         return (-1, 0, 1) if pos < n_cuts else (0, 1)
 
     out = []
 
-    def walk(signs, witness, sink, st):
+    def walk(signs, witness):
         if len(signs) == n_slots:
             cut_signs = tuple(signs[:n_cuts])
             facet_signs = tuple(signs[n_cuts:])
             d = _cell_dim(
                 dim, cut_rows, facet_rows, ambient_eqs, cut_signs, facet_signs
             )
-            sink.append((cut_signs, facet_signs, d, witness))
+            out.append((cut_signs, facet_signs, d, witness))
             return
         for s in branches(len(signs)):
             child = signs + [s]
-            w = check(child, witness, st)
+            w = check(child, witness)
             if w is not None:
-                walk(child, w, sink, st)
+                walk(child, w)
 
-    if threads <= 1:
-        walk([], None, out, stats)
-    else:
-        depth = min(2, n_slots)
-        prefixes = []
-
-        def seed(signs, witness):
-            if len(signs) == depth:
-                prefixes.append((signs, witness))
-                return
-            for s in branches(len(signs)):
-                child = signs + [s]
-                w = check(child, witness, stats)
-                if w is not None:
-                    seed(child, w)
-
-        seed([], None)
-
-        def run(prefix):
-            signs, witness = prefix
-            collector: list = []
-            local: dict = {}
-            walk(signs, witness, collector, local)
-            return collector, local
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk, local in pool.map(run, prefixes):
-                out.extend(chunk)
-                for key, value in local.items():
-                    stats[key] = stats.get(key, 0) + value
+    walk([], None)
     counts = [0] * (dim + 1)
     for _, _, d, _ in out:
         counts[d] += 1
     return out, counts
 
 
-def enumerate_cells(n: int, *, cap: int = 4, threads: int = 1) -> CellEnumeration:
+def enumerate_cells(n: int, *, cap: int = 4) -> CellEnumeration:
     """Every cell of the rank-n picture, tallied by dimension."""
     if n < 1:
         raise ValueError("rank must be at least 1")
@@ -223,9 +192,7 @@ def enumerate_cells(n: int, *, cap: int = 4, threads: int = 1) -> CellEnumeratio
         )
     stats: dict = {}
     cut_rows = [weight_functional(n, idx) for idx in weight_indices(n)]
-    raw, counts = enumerate_generic_cells(
-        n, cut_rows, _root_rows(n), threads=threads, stats=stats
-    )
+    raw, counts = enumerate_generic_cells(n, cut_rows, _root_rows(n), stats=stats)
     cells = [
         Cell(SignCondition(n, cut_signs, facet_signs), d, witness)
         for cut_signs, facet_signs, d, witness in raw
@@ -235,14 +202,14 @@ def enumerate_cells(n: int, *, cap: int = 4, threads: int = 1) -> CellEnumeratio
     return CellEnumeration(n, counts, cells, notes, stats)
 
 
-def rays_geometric(n: int, *, cap: int = 4, threads: int = 1, cells=None):
+def rays_geometric(n: int, *, cap: int = 4, cells=None):
     """The 1-dimensional cells as exactly normalized direction vectors.
 
     Every witness, scaled by its largest absolute coordinate, must land on a
     vector with coordinates in {-1, 0, 1}; anything else is an error.
     """
     if cells is None:
-        cells = enumerate_cells(n, cap=cap, threads=threads)
+        cells = enumerate_cells(n, cap=cap)
     rays = []
     for cell in cells.cells:
         if cell.dim != 1:

@@ -24,6 +24,10 @@ class UnboundedProgram(RuntimeError):
     pass
 
 
+class CertificateError(RuntimeError):
+    """An LP optimum whose witness does not satisfy the system it answers."""
+
+
 def simplex_max(rows, rhs, objective, basis, *, stats=None):
     """Maximize objective over {rows . x = rhs, x >= 0}.
 
@@ -164,12 +168,12 @@ def strict_feasible(
     witness = tuple(
         sum((w[j] * basis_vecs[j][i] for j in range(d)), _ZERO) for i in range(dim)
     )
-    for row in eq_rows:
-        assert dot(row, witness) == 0
-    for row in strict_rows:
-        assert dot(row, witness) > 0
-    for row in weak_rows:
-        assert dot(row, witness) >= 0
+    if (
+        any(dot(row, witness) != 0 for row in eq_rows)
+        or any(dot(row, witness) <= 0 for row in strict_rows)
+        or any(dot(row, witness) < 0 for row in weak_rows)
+    ):
+        raise CertificateError(f"witness {witness} violates the sign system")
     return witness
 
 
@@ -215,8 +219,10 @@ def cone_positive(
     point = tuple(
         sum((w[j] * basis_vecs[j][i] for j in range(d)), _ZERO) for i in range(dim)
     )
-    assert all(v >= 0 for v in point)
-    assert dot(functional, point) > 0
-    for row in eq_rows:
-        assert dot(row, point) == 0
+    if (
+        any(v < 0 for v in point)
+        or dot(functional, point) <= 0
+        or any(dot(row, point) != 0 for row in eq_rows)
+    ):
+        raise CertificateError(f"point {point} is not a positive cone point")
     return point

@@ -304,7 +304,7 @@ def dedupe_hyperplanes(vectors) -> tuple[Vector, ...]:
     return tuple(seen)
 
 
-def chamber_cell_counts(tag: str, n: Optional[int] = None, *, threads: int = 1):
+def chamber_cell_counts(tag: str, n: Optional[int] = None):
     """Counts of chamber cells by dimension for a named system, from the
     generic sign search.  Meant for the small degenerate checks."""
     ws = weight_system(tag, n)
@@ -314,6 +314,5 @@ def chamber_cell_counts(tag: str, n: Optional[int] = None, *, threads: int = 1):
         cuts,
         ws.chamber_facets,
         ambient_eqs=ws.ambient_eqs,
-        threads=threads,
     )
     return counts[: ws.rank + 1]

@@ -349,82 +349,62 @@ class PseudoEnsemble:
         return len({p.level for p in self.realized()}) - 1
 
 
-def ensemble_rank(ensemble: Ensemble) -> int:
-    """Number of distinct realized levels (the dimension of the flat)."""
-    return ensemble.rank
-
-
-def _interval_levels(n: int, iv: Interval) -> range:
-    top = n if iv.hi is INF else min(iv.hi.level, n)
-    return range(max(iv.lo.level, 1), top + 1)
-
-
 def _finite_points_from(n: int, lower: PosetPoint) -> list[PosetPoint]:
     return [p for p in all_points(n, include_origin=True) if lower <= p]
+
+
+def _interval_unions(
+    n: int,
+    target: int,
+    floor: int,
+    cls,
+    starts: list[PosetPoint],
+    done: tuple[Interval, ...] = (),
+    levels: int = 0,
+):
+    """Every valid interval union whose first interval starts in starts and
+    whose intervals cover exactly target levels at or above floor, each
+    built as cls(n, intervals).
+
+    Intervals are grown front to back; candidate endpoints are scanned in
+    (level, b) order with INF last, so the order is reproducible.  done is a
+    valid prefix covering levels such levels, whose last interval ends
+    strictly below level n.
+    """
+    for lo in starts:
+        for hi in _finite_points_from(n, lo):
+            lv = levels + min(hi.level, n) - max(lo.level, floor) + 1
+            if lv > target:
+                continue
+            nxt = done + (Interval(lo, hi),)
+            if hi.level < n and lv == target:
+                yield cls(n, nxt)
+            if hi.level + 2 <= n:
+                after = _finite_points_from(n, hi.shift(1, 1))
+                yield from _interval_unions(n, target, floor, cls, after, nxt, lv)
+        if levels + n - max(lo.level, floor) + 1 == target:
+            yield cls(n, done + (Interval(lo, INF),))
 
 
 def enumerate_ensembles(n: int, k: int) -> Iterator[Ensemble]:
     """All k-ensembles of E*_n in canonical form, lazily, deterministic order.
 
-    Intervals are grown front to back; candidate endpoints are scanned in
-    (level, b) order with INF last, so the order is reproducible.
+    The first interval starts at the origin and only levels of E*_n count.
     """
     if k < 0 or k > n:
         return
-
-    def tails(done: list[Interval], levels: int, lower: PosetPoint) -> Iterator[Ensemble]:
-        # done is a valid, already-terminated-or-extendable prefix whose last
-        # interval has a finite endpoint strictly below level n.
-        for lo in _finite_points_from(n, lower):
-            for hi in _finite_points_from(n, lo):
-                lv = levels + len(_interval_levels(n, Interval(lo, hi)))
-                if lv > k:
-                    continue
-                nxt = done + [Interval(lo, hi)]
-                if hi.level < n and lv == k:
-                    yield Ensemble(n, tuple(nxt))
-                if hi.level + 2 <= n:
-                    yield from tails(nxt, lv, hi.shift(1, 1))
-            lv = levels + len(_interval_levels(n, Interval(lo, INF)))
-            if lv == k:
-                yield Ensemble(n, tuple(done + [Interval(lo, INF)]))
-
-    origin = PosetPoint(0, 0)
-    for hi in _finite_points_from(n, origin):
-        head = Interval(origin, hi)
-        lv = len(_interval_levels(n, head))
-        if lv > k:
-            continue
-        if hi.level < n and lv == k:
-            yield Ensemble(n, (head,))
-        if hi.level + 2 <= n:
-            yield from tails([head], lv, hi.shift(1, 1))
-    if k == n:
-        yield Ensemble(n, (Interval(origin, INF),))
+    yield from _interval_unions(n, k, 1, Ensemble, [PosetPoint(0, 0)])
 
 
 def enumerate_pseudo_ensembles(n: int, k: int) -> Iterator[PseudoEnsemble]:
-    """All k-pseudo-ensembles of E_n (k = -1 gives the empty union)."""
+    """All k-pseudo-ensembles of E_n (k = -1 gives the empty union).
+
+    The first interval starts anywhere in E_n and the origin's level counts.
+    """
     if k < -1 or k > n:
         return
     if k == -1:
         yield PseudoEnsemble(n, ())
         return
-
-    def tails(done: list[Interval], levels: int, lower: PosetPoint) -> Iterator[PseudoEnsemble]:
-        for lo in _finite_points_from(n, lower):
-            for hi in _finite_points_from(n, lo):
-                iv = Interval(lo, hi)
-                lv = levels + len(range(lo.level, min(hi.level, n) + 1))
-                if lv > k + 1:
-                    continue
-                nxt = done + [iv]
-                if hi.level < n and lv == k + 1:
-                    yield PseudoEnsemble(n, tuple(nxt))
-                if hi.level + 2 <= n:
-                    yield from tails(nxt, lv, hi.shift(1, 1))
-            lv = levels + len(range(lo.level, n + 1))
-            if lv == k + 1:
-                yield PseudoEnsemble(n, tuple(done + [Interval(lo, INF)]))
-
-    yield from tails([], 0, PosetPoint(0, 0))
+    starts = all_points(n, include_origin=True)
+    yield from _interval_unions(n, k + 1, 0, PseudoEnsemble, starts)

@@ -1,7 +1,10 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import weylfan
 from weylfan import counting as ct
 from weylfan.cli import main
 from weylfan.incidence import adjacency_dot
@@ -100,6 +103,13 @@ def test_count_oracle_cap_override(capsys, monkeypatch):
         "--oracle-cap-cells", "2",
     )
     assert code == 0 and out == "1 5 4\n"
+
+
+def test_removed_flags_are_unknown(capsys):
+    code, _, err = run(capsys, "count", "--faces", "-n", "3", "--threads", "2")
+    assert code == 2 and "--threads" in err
+    code, _, err = run(capsys, "graph", "-n", "2", "--oracle-cap-cells", "2")
+    assert code == 2 and "--oracle-cap-cells" in err
 
 
 def test_enumerate_chambers(capsys):
@@ -211,14 +221,17 @@ def test_verify_degenerate(capsys):
     assert out.splitlines()[-1] == "ok"
 
 
-def test_env_threads(capsys, monkeypatch):
-    code, base, _ = run(capsys, "graph", "-n", "3")
-    monkeypatch.setenv("WEYLFAN_THREADS", "3")
-    code2, threaded, _ = run(capsys, "graph", "-n", "3")
-    assert code == code2 == 0 and base == threaded
-    monkeypatch.setenv("WEYLFAN_THREADS", "zonk")
-    code, _, err = run(capsys, "graph", "-n", "3")
-    assert code == 2 and "WEYLFAN_THREADS" in err
+def test_malformed_cap_env_only_breaks_the_oracle(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLFAN_ORACLE_CAP_CELLS", "zonk")
+    for argv in (
+        ("enumerate", "chambers", "-n", "2"),
+        ("graph", "-n", "3"),
+        ("count", "--faces", "-n", "3"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+    code, out, err = run(capsys, "count", "--faces", "-n", "2", "--method", "oracle")
+    assert code == 2 and out == "" and "WEYLFAN_ORACLE_CAP_CELLS" in err
 
 
 def test_repeat_runs_are_byte_identical(capsys):
@@ -228,9 +241,13 @@ def test_repeat_runs_are_byte_identical(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it
+    root = str(Path(weylfan.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "weylfan.cli", "count", "--faces", "-n", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0 and proc.stdout == "1 9 16 8\n"

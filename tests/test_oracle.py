@@ -21,7 +21,8 @@ from weylfan.oracle import (
     weight_system,
 )
 from weylfan.oracle import weightsystems as wsys
-from weylfan.oracle.simplex import simplex_max, strict_feasible
+from weylfan.oracle import simplex
+from weylfan.oracle.simplex import CertificateError, simplex_max, strict_feasible
 from weylfan.poset import Ensemble, all_points, enumerate_ensembles
 
 
@@ -70,6 +71,18 @@ def test_strict_feasible_basics():
     assert strict_feasible([(1,)], [], [], 1) == (0,)
     w = strict_feasible([], [(1, -1)], [(0, 1)], 2)
     assert w is not None and w[0] > w[1] and w[1] >= 0
+
+
+def test_witness_checks_reject_a_bogus_optimum(monkeypatch):
+    # a positive optimum at the all-zero solution: the witness is the origin
+    def bogus(rows, rhs, objective, basis, *, stats=None):
+        return Fraction(1), [Fraction(0)] * len(objective)
+
+    monkeypatch.setattr(simplex, "simplex_max", bogus)
+    with pytest.raises(CertificateError):
+        simplex.strict_feasible([], [(1, 0)], [], 2)
+    with pytest.raises(CertificateError):
+        simplex.cone_positive([], (1, 1), 2)
 
 
 def test_cell_feasible_examples():
@@ -131,17 +144,6 @@ def test_cell_dimension_against_tight_rank():
         by_dim.setdefault(cell.dim, 0)
         by_dim[cell.dim] += 1
     assert [by_dim.get(k, 0) for k in range(4)] == enum.counts
-
-
-def test_cells_thread_invariance():
-    base = enumerate_cells(3)
-    for threads in (2, 5):
-        again = enumerate_cells(3, threads=threads)
-        assert again.counts == base.counts
-        assert [c.condition for c in again.cells] == [
-            c.condition for c in base.cells
-        ]
-        assert again.stats == base.stats
 
 
 def test_cap_refusals():

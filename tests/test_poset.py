@@ -2,6 +2,7 @@
 count, ensembles/pseudo-ensembles against brute-force subset filtering, and
 the canonical-form round trip."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from weylfan.poset import (
     PseudoEnsemble,
     all_points,
     chain_count,
-    ensemble_rank,
     enumerate_chains,
     enumerate_ensembles,
     enumerate_pseudo_ensembles,
@@ -152,7 +152,7 @@ def test_ensemble_validation():
         Ensemble(3, (Interval(o, P(1, 0)), Interval(P(1, 1), INF)),)  # gap fails
     e = Ensemble(3, (Interval(o, P(1, 0)), Interval(P(2, 1), INF)))
     assert e.realized() == {P(1, 0), P(2, 1)}
-    assert e.rank == 2 and e.interval_count == 2 and ensemble_rank(e) == 2
+    assert e.rank == 2 and e.interval_count == 2
 
 
 def test_ensembles_n2_explicit():
@@ -180,6 +180,38 @@ EXPECTED_ENSEMBLE_COUNTS = {
 def test_ensemble_counts(n):
     got = [sum(1 for _ in enumerate_ensembles(n, k)) for k in range(n + 1)]
     assert got == EXPECTED_ENSEMBLE_COUNTS[n]
+
+
+def _presentation(e):
+    return tuple(
+        (iv.lo.a, iv.lo.b, None if iv.hi is INF else (iv.hi.a, iv.hi.b))
+        for iv in e.intervals
+    )
+
+
+@pytest.mark.parametrize(
+    "gen, dims, size, digest",
+    [
+        (
+            enumerate_ensembles,
+            range(7),
+            233,
+            "8a4ea1ee6c71457c39a5c42c1f077f84a9cec2f8ac06b76305181b132a45dfc0",
+        ),
+        (
+            enumerate_pseudo_ensembles,
+            range(-1, 7),
+            610,
+            "1f9f7b2761a1f83066fb7cd860f36dea9414d325cee721c036b4a6f0c8182108",
+        ),
+    ],
+    ids=["ensembles", "pseudo-ensembles"],
+)
+def test_enumeration_order_pinned(gen, dims, size, digest):
+    """Every n = 6 presentation in enumeration order, pinned by a digest."""
+    keys = [_presentation(e) for k in dims for e in gen(6, k)]
+    assert len(keys) == size
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", range(0, 6))
