@@ -127,6 +127,8 @@ def _count_row(table: str, n: int, method: str, args: argparse.Namespace) -> lis
             return [sum(1 for _ in enumerate_chains(n, k)) for k in range(n + 1)]
         return [sum(1 for _ in enumerate_ensembles(n, k)) for k in range(n + 1)]
     assert method == "oracle"
+    if n < 1:
+        raise UsageError("the geometric oracle needs n >= 1")
     cap = _oracle_cap(args, table)
     try:
         if table == "faces":
@@ -152,8 +154,9 @@ def cmd_count(args: argparse.Namespace) -> int:
                 methods.append("closed-form")
             if n <= ENUMERATION_BOUND:
                 methods.append("enumerate")
-            cap = _oracle_cap(args, table)
-            if n <= cap:
+            if n < 1:
+                print("skipped: oracle (needs n >= 1)", file=sys.stderr)
+            elif n <= (cap := _oracle_cap(args, table)):
                 methods.append("oracle")
             else:
                 print(f"skipped: oracle (cap {cap})", file=sys.stderr)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,10 +18,7 @@ from importlib import resources
 from math import comb
 from typing import Mapping
 
-PROVENANCE = ("recurrence", "rational-expansion", "closed-form", "enumeration", "oracle")
-
 _memo: dict[tuple[str, int, int], int] = {}
-_memo_lock = threading.RLock()
 
 
 def g_recurrence(n: int, k: int) -> int:
@@ -34,8 +30,7 @@ def g_recurrence(n: int, k: int) -> int:
     """
     if n < 0 or k < 0 or k > n:
         return 0
-    with _memo_lock:
-        return _g_rec(n, k)
+    return _g_rec(n, k)
 
 
 def _g_rec(n: int, k: int) -> int:
@@ -59,14 +54,12 @@ def rho(n: int, k: int) -> int:
     flat table from row 2 on and by brute-force enumeration (rho(2,1) = 5).
     See data/errata.json, formula note "pseudo-recursion-level-factor".
     """
-    with _memo_lock:
-        return _rho(n, k)
+    return _rho(n, k)
 
 
 def h_recurrence(n: int, k: int) -> int:
     """Flat counts h(n, k) by the mutual recursion with rho, jointly memoized."""
-    with _memo_lock:
-        return _h_rec(n, k)
+    return _h_rec(n, k)
 
 
 def _rho(n: int, k: int) -> int:
@@ -274,16 +267,10 @@ def series_product_coeff(A: Poly2, S: BiSeries, n: int, k: int) -> int:
 @dataclass(frozen=True)
 class CountTable:
     """Rows (n, k, value) of a face or flat count, tagged with how each value
-    was obtained (one of the PROVENANCE tags)."""
+    was obtained."""
 
     kind: str  # "faces" | "flats"
     entries: tuple[tuple[int, int, int, str], ...]
-
-    @classmethod
-    def from_row(cls, kind: str, n: int, values, provenance: str) -> "CountTable":
-        if provenance not in PROVENANCE:
-            raise ValueError(f"unknown provenance tag {provenance!r}")
-        return cls(kind, tuple((n, k, v, provenance) for k, v in enumerate(values)))
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -2,9 +2,20 @@
 
 A flat is the intersection of some weight hyperplanes with the chamber cone.
 In the gap coordinates r_l = x_l - x_{l+1} >= 0 and z = x_n, every weight is
-2z + c.r with a nonnegative integer vector c, so once one generator is used
-to eliminate z a flat becomes {r >= 0, (c_w - c_w0).r = 0} and all questions
-reduce to exact LPs over that cone.
+2z + c.r with a nonnegative integer vector c, so once one generator w0 of a
+set T is used to eliminate z, the flat cut by T is the cone
+C = {r >= 0, (c_w - c_w0).r = 0 for w in T}.
+
+The affine hull of C (a linear span, since C is a cone) is cut out by those
+difference rows together with the implicit equalities of C: the coordinates
+r_l that vanish on all of C (Schrijver, Theory of Linear and Integer
+Programming, 8.2).  A coordinate is implicit when it lies in the row space of
+the difference rows, or when no point of C makes it positive, one exact LP;
+a witness point from an earlier LP settles every coordinate it shows
+positive.  One kernel of the rows plus the equalities then gives both the
+dimension of the flat (the kernel's size) and its tight closure: a weight
+vanishes on the flat exactly when its difference row is orthogonal to the
+whole kernel.  A closure costs at most n - 1 LPs and none per weight.
 
 Two generator subsets cut the same flat exactly when they have the same
 tight closure (the full set of weights vanishing on the intersection), so
@@ -20,7 +31,7 @@ from fractions import Fraction
 
 from ..incidence import WeightIndex, weight_indices
 from .cells import CapExceeded
-from .linalg import dot, rank_of
+from .linalg import dot, kernel_basis, rank_of
 from .simplex import cone_positive
 
 
@@ -55,63 +66,32 @@ def _difference_rows(cvecs, T):
     ], base
 
 
-def _closure(n, T, cvecs, cache, stats):
-    """All weights vanishing on the flat cut by T (T nonempty)."""
-    if T in cache:
-        return cache[T]
+def _closure(n, T, cvecs, stats):
+    """Tight closure and dimension of the flat cut by T (T nonempty)."""
     dim = n - 1
     rows, base = _difference_rows(cvecs, T)
     base_rank = rank_of(rows)
-    bank: list[tuple[Fraction, ...]] = []
-    tight = set()
-    for u in weight_indices(n):
-        if u in T:
-            tight.add(u)
-            continue
-        f = tuple(a - b for a, b in zip(cvecs[u], base))
-        if all(v == 0 for v in f):
-            tight.add(u)
-            continue
-        if any(dot(f, r) != 0 for r in bank):
-            continue
-        if rank_of(rows + [f]) == base_rank:
-            tight.add(u)  # f is a combination of the cutting rows
-            continue
-        point = cone_positive(rows, f, dim, stats=stats)
-        if point is None:
-            point = cone_positive(rows, tuple(-v for v in f), dim, stats=stats)
-        if point is None:
-            tight.add(u)
-        else:
-            bank.append(point)
-    result = frozenset(tight)
-    cache[T] = result
-    return result
-
-
-def _flat_dim(n, T, cvecs, stats) -> int:
-    """Dimension via implicitly tight coordinates: r_l is tight iff it cannot
-    be made positive on the cone."""
-    if not T:
-        return n
-    dim = n - 1
-    rows, _ = _difference_rows(cvecs, T)
-    bank: list[tuple[Fraction, ...]] = []
-    tight_rows = []
-    base_rank = rank_of(rows)
+    equalities = []
+    points: list[tuple[Fraction, ...]] = []
     for level in range(dim):
-        unit = tuple(Fraction(1 if c == level else 0) for c in range(dim))
-        if any(r[level] != 0 for r in bank):
+        if any(p[level] != 0 for p in points):
             continue
+        unit = tuple(1 if c == level else 0 for c in range(dim))
         if rank_of(rows + [unit]) == base_rank:
-            tight_rows.append(unit)
+            equalities.append(unit)  # r_l = 0 follows from the rows alone
             continue
         point = cone_positive(rows, unit, dim, stats=stats)
         if point is None:
-            tight_rows.append(unit)
+            equalities.append(unit)
         else:
-            bank.append(point)
-    return dim - rank_of(rows + tight_rows)
+            points.append(point)
+    span = kernel_basis(rows + equalities, dim)
+    tight = frozenset(
+        u
+        for u, c in cvecs.items()
+        if all(dot([a - b for a, b in zip(c, base)], k) == 0 for k in span)
+    )
+    return tight, len(span)
 
 
 def enumerate_flats_geometric(n: int, *, cap: int = 6) -> FlatEnumeration:
@@ -132,12 +112,15 @@ def enumerate_flats_geometric(n: int, *, cap: int = 6) -> FlatEnumeration:
     queue = deque([whole])
     while queue:
         current = queue.popleft()
-        for u in weight_indices(n):
+        for u in cvecs:
             if u in current:
                 continue
-            closed = _closure(n, current | {u}, cvecs, cache, stats)
+            T = current | {u}
+            if T not in cache:
+                cache[T] = _closure(n, T, cvecs, stats)
+            closed, dim = cache[T]
             if closed not in dims:
-                dims[closed] = _flat_dim(n, closed, cvecs, stats)
+                dims[closed] = dim
                 queue.append(closed)
     flats = [
         GeometricFlat(n, tight, d)

@@ -9,13 +9,37 @@ from math import lcm
 from typing import Sequence
 
 
-def _integerize(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each row to integers; row scaling changes neither rank nor kernel."""
+def _integerize(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Scale each row of ints and Fractions to integers; row scaling changes
+    neither rank nor kernel."""
     out = []
     for row in rows:
-        denom = lcm(*(Fraction(v).denominator for v in row)) if row else 1
-        out.append([int(Fraction(v) * denom) for v in row])
+        denom = lcm(*(v.denominator for v in row))
+        out.append([int(v * denom) for v in row])
     return out
+
+
+def _bareiss_rank(m: list[list[int]]) -> int:
+    """Rank of an integer matrix by Bareiss (fraction-free) elimination, in place."""
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    rank = 0
+    prev = 1
+    col = 0
+    while rank < nrows and col < ncols:
+        pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
+        if pivot is None:
+            col += 1
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, nrows):
+            for c in range(col + 1, ncols):
+                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
+            m[r][col] = 0
+        prev = m[rank][col]
+        rank += 1
+        col += 1
+    return rank
 
 
 @dataclass(frozen=True)
@@ -32,26 +56,7 @@ class RationalMatrix:
 
     def rank(self) -> int:
         """Bareiss (fraction-free) elimination on the integerized rows."""
-        m = _integerize(self.rows)
-        nrows = len(m)
-        ncols = len(m[0]) if m else 0
-        rank = 0
-        prev = 1
-        col = 0
-        while rank < nrows and col < ncols:
-            pivot = next((r for r in range(rank, nrows) if m[r][col] != 0), None)
-            if pivot is None:
-                col += 1
-                continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            for r in range(rank + 1, nrows):
-                for c in range(col + 1, ncols):
-                    m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-                m[r][col] = 0
-            prev = m[rank][col]
-            rank += 1
-            col += 1
-        return rank
+        return _bareiss_rank(_integerize(self.rows))
 
     def rref(self) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices."""
@@ -107,9 +112,8 @@ def kernel_basis(rows, dim: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def rank_of(rows) -> int:
-    if not rows:
-        return 0
-    return RationalMatrix.from_rows(rows).rank()
+    """Rank of rows of ints and Fractions, without converting them to Fraction."""
+    return _bareiss_rank(_integerize(rows))
 
 
 def dot(u, v) -> Fraction:

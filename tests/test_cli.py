@@ -77,6 +77,11 @@ def test_count_method_all(capsys):
     code, out, err = run(capsys, "count", "--flats", "-n", "8", "--method", "all")
     assert code == 0 and out.startswith("1 30 151")
     assert "skipped: oracle (cap 6)" in err
+    # the oracle needs rank >= 1, so at n = 0 its leg is skipped too
+    for table in ("--faces", "--flats"):
+        code, out, err = run(capsys, "count", table, "-n", "0", "--method", "all")
+        assert code == 0 and out == "1\n"
+        assert "skipped: oracle (needs n >= 1)" in err
 
 
 def test_count_refusals(capsys):
@@ -86,6 +91,9 @@ def test_count_refusals(capsys):
     assert code == 2 and "closed form" in err
     code, _, err = run(capsys, "count", "--faces", "-n", "5", "--method", "oracle")
     assert code == 2 and "cap" in err
+    for table in ("--faces", "--flats"):
+        code, out, err = run(capsys, "count", table, "-n", "0", "--method", "oracle")
+        assert code == 2 and out == "" and "needs n >= 1" in err
     code, _, err = run(capsys, "count", "--faces", "-n", "3", "-k", "7")
     assert code == 2
     code, _, err = run(capsys, "count", "-n", "3")

@@ -22,6 +22,7 @@ from weylfan.oracle import (
 )
 from weylfan.oracle import weightsystems as wsys
 from weylfan.oracle import simplex
+from weylfan.oracle.linalg import rank_of
 from weylfan.oracle.simplex import CertificateError, simplex_max, strict_feasible
 from weylfan.poset import Ensemble, all_points, enumerate_ensembles
 
@@ -52,6 +53,11 @@ def test_rank_matches_rref_on_random_matrices():
         m = RationalMatrix.from_rows(rows)
         _, pivots = m.rref()
         assert m.rank() == len(pivots)
+        # rank_of takes the rows as given: all ints, or ints mixed with Fractions
+        integer_rows = [[int(v * 6) for v in row] for row in rows]
+        assert rank_of(integer_rows) == len(pivots)
+        mixed = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+        assert rank_of(mixed) == len(pivots)
 
 
 def test_simplex_basics():
@@ -180,10 +186,12 @@ def test_flats_golden_rows():
     for n in range(1, 5):
         enum = enumerate_flats_geometric(n)
         assert enum.counts == [ct.h_recurrence(n, k) for k in range(n + 1)]
+        # one LP per implicit-equality candidate, never one per weight
+        assert enum.stats.get("lp_calls", 0) <= (n - 1) * enum.stats["closures"]
 
 
 def test_flats_cross_check_with_ensembles():
-    for n in range(1, 5):
+    for n in range(1, 6):
         enum = enumerate_flats_geometric(n)
         realized = set()
         for flat in enum.flats:
