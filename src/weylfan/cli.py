@@ -329,7 +329,7 @@ def _verify_tables() -> int:
     for n in range(top + 1):
         rows = {
             "recurrence": [ct.g_recurrence(n, k) for k in range(n + 1)],
-            "linear recurrence": list(ct._g_linear_row(n)),
+            "linear recurrence": [ct.g_linear_recurrence(n, k) for k in range(n + 1)],
             "series": [ct.g_series(top).coeff(n, k) for k in range(n + 1)],
             "closed form": [ct.g_closed_form(n, k) for k in range(n + 1)],
         }
@@ -343,7 +343,7 @@ def _verify_tables() -> int:
     for n in range(top + 1):
         rows = {
             "mutual recursion": [ct.h_recurrence(n, k) for k in range(n + 1)],
-            "linear recurrence": list(ct._h_linear_row(n)),
+            "linear recurrence": [ct.h_linear_recurrence(n, k) for k in range(n + 1)],
             "series": [ct.h_series(top).coeff(n, k) for k in range(n + 1)],
         }
         if len({tuple(r) for r in rows.values()}) != 1:

@@ -4,6 +4,12 @@ rational bivariate series expansion.  All arithmetic is arbitrary precision;
 the independent paths are cross-checked against each other and against
 enumeration in the test suite, with the handful of discrepancies in the
 published reference values recorded in data/errata.json.
+
+Every recurrence is a loop that builds its table upward, one row at a time
+from the rows below it, so no function recurses and any n works.  The
+(l+1)-weighted sums of the direct recurrences are carried as running sums,
+so each entry costs O(1) additions.  Each row function caches its last
+_ROWS_KEPT results, enough for a caller that walks one row entry by entry.
 """
 
 from __future__ import annotations
@@ -12,13 +18,16 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 from math import comb
 from typing import Mapping
 
-_memo: dict[tuple[str, int, int], int] = {}
+_ROWS_KEPT = 4
+
+
+def _at(row: tuple[int, ...], k: int) -> int:
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def g_recurrence(n: int, k: int) -> int:
@@ -30,111 +39,105 @@ def g_recurrence(n: int, k: int) -> int:
     """
     if n < 0 or k < 0 or k > n:
         return 0
-    return _g_rec(n, k)
+    return _g_row(n)[k]
 
 
-def _g_rec(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        return 0
-    key = ("g", n, k)
-    if key in _memo:
-        return _memo[key]
-    value = (1 if k == 0 else 0) + sum(
-        (l + 1) * _g_rec(n - l, k - 1) for l in range(1, n - k + 2)
-    )
-    _memo[key] = value
-    return value
+@lru_cache(maxsize=_ROWS_KEPT)
+def _g_row(n: int) -> tuple[int, ...]:
+    """Row n of g.  Over the rows j < m built so far, A[k] = sum_j g(j, k)
+    and S[k] = sum_j (m - j) g(j, k), so g(m, k) = [k = 0] + S[k-1] + A[k-1].
+    """
+    A = [0] * (n + 1)
+    S = [0] * (n + 1)
+    for m in range(n + 1):
+        row = [1] + [S[k - 1] + A[k - 1] for k in range(1, m + 1)]
+        for k, v in enumerate(row):
+            A[k] += v
+            S[k] += A[k]
+    return tuple(row)
 
 
 def rho(n: int, k: int) -> int:
     """Pseudo-ensemble counts; grounded by rho(-1, -1) = 1 (the empty union).
 
-    The published statement of this recursion omits the size of the level
-    being grouped over; the factor (l+1) below is forced by the published
+    rho(n, k) = [k = -1] + sum_{l=0}^{n} (l+1) h(n-l, k) for n >= 0.  The
+    published statement of this recursion omits the size of the level
+    being grouped over; the factor (l+1) is forced by the published
     flat table from row 2 on and by brute-force enumeration (rho(2,1) = 5).
     See data/errata.json, formula note "pseudo-recursion-level-factor".
     """
-    return _rho(n, k)
-
-
-def h_recurrence(n: int, k: int) -> int:
-    """Flat counts h(n, k) by the mutual recursion with rho, jointly memoized."""
-    return _h_rec(n, k)
-
-
-def _rho(n: int, k: int) -> int:
     if n < -1 or k < -1 or k > n:
         return 0
     if n == -1:
-        return 1 if k == -1 else 0
-    key = ("rho", n, k)
-    if key in _memo:
-        return _memo[key]
-    value = (1 if k == -1 else 0) + sum((l + 1) * _h_rec(n - l, k) for l in range(n + 1))
-    _memo[key] = value
-    return value
+        return 1
+    return _flat_rows(n)[1][k + 1]
 
 
-def _h_rec(n: int, k: int) -> int:
+def h_recurrence(n: int, k: int) -> int:
+    """Flat counts h(n, k) by the mutual recursion with rho:
+    h(n, k) = [n = k] + sum_{l=0}^{n-1} (l+1) rho(n-l-2, k-l-1)."""
     if n < 0 or k < 0 or k > n:
         return 0
-    key = ("h", n, k)
-    if key in _memo:
-        return _memo[key]
-    value = (1 if n == k else 0) + sum(
-        (l + 1) * _rho(n - l - 2, k - l - 1) for l in range(n)
-    )
-    _memo[key] = value
-    return value
+    return _flat_rows(n)[0][k]
 
 
-@lru_cache(maxsize=None)
-def _g_linear_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (1, 2)
-    prev, prev2 = _g_linear_row(n - 1), _g_linear_row(n - 2)
+@lru_cache(maxsize=_ROWS_KEPT)
+def _flat_rows(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row n of h and row n of rho, the latter indexed from k = -1.
 
-    def at(row, k):
-        return row[k] if 0 <= k < len(row) else 0
-
-    return tuple(
-        2 * at(prev, k) - at(prev2, k) + 2 * at(prev, k - 1) - at(prev2, k - 1)
-        for k in range(n + 1)
-    )
+    Over the h rows j <= m, C[k] = sum_j h(j, k) and
+    U[k] = sum_j (m-j+1) h(j, k), so rho(m, k) = U[k] for k >= 0.  The rho
+    entries in h(m, k)'s sum lie on one diagonal d = m-k-1 = i - k' of
+    rho(i, k'); over the rho rows i <= m-2, B[d] = sum_i rho(i, i-d) and
+    T[d] = sum_i (m-1-i) rho(i, i-d), so h(m, k) = [m = k] + T[m-k-1].
+    """
+    B, T, C, U = ([0] * (n + 1) for _ in range(4))
+    rho_row = (1,)  # row m-1, starting from rho(-1, -1) = 1
+    for m in range(n + 1):
+        h_row = [T[m - 1 - k] for k in range(m)] + [1]
+        for k, v in enumerate(h_row):
+            C[k] += v
+            U[k] += C[k]
+        for d in range(m + 1):  # fold rho row m-1 in, ready for h row m+1
+            B[d] += rho_row[m - d]
+            T[d] += B[d]
+        rho_row = (1, *U[: m + 1])
+    return tuple(h_row), rho_row
 
 
 def g_linear_recurrence(n: int, k: int) -> int:
-    """g by the four-term linear recurrence in n and k (rows 0 and 1 seeded)."""
+    """g by the four-term linear recurrence in n and k (rows 0 and 1 seeded):
+    g(n, k) = 2g(n-1, k) - g(n-2, k) + 2g(n-1, k-1) - g(n-2, k-1), the
+    coefficients of g_polynomial's recurrence."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _g_linear_row(n)[k]
+    return g_polynomial(n)[k]
 
 
-@lru_cache(maxsize=None)
+_H_SEED_ROWS = ((1,), (1, 1), (1, 3, 1), (1, 5, 6, 1))
+
+
+@lru_cache(maxsize=_ROWS_KEPT)
 def _h_linear_row(n: int) -> tuple[int, ...]:
-    base = {0: (1,), 1: (1, 1), 2: (1, 3, 1), 3: (1, 5, 6, 1)}
-    if n in base:
-        return base[n]
-
-    def at(m, k):
-        row = _h_linear_row(m)
-        return row[k] if 0 <= k < len(row) else 0
-
-    # The k-2 block's middle coefficient is 2, not the 3 that appears in
-    # print: see data/errata.json, "flat-linear-recurrence-coefficient".
-    return tuple(
-        2 * at(n - 1, k)
-        - at(n - 2, k)
-        + 2 * at(n - 1, k - 1)
-        - 3 * at(n - 2, k - 1)
-        + 2 * at(n - 3, k - 1)
-        - at(n - 2, k - 2)
-        + 2 * at(n - 3, k - 2)
-        - at(n - 4, k - 2)
-        for k in range(n + 1)
-    )
+    if n < 4:
+        return _H_SEED_ROWS[n]
+    r4, r3, r2, r1 = _H_SEED_ROWS  # rows m-4 .. m-1
+    for m in range(4, n + 1):
+        # The k-2 block's middle coefficient is 2, not the 3 that appears in
+        # print: see data/errata.json, "flat-linear-recurrence-coefficient".
+        row = tuple(
+            2 * _at(r1, k)
+            - _at(r2, k)
+            + 2 * _at(r1, k - 1)
+            - 3 * _at(r2, k - 1)
+            + 2 * _at(r3, k - 1)
+            - _at(r2, k - 2)
+            + 2 * _at(r3, k - 2)
+            - _at(r4, k - 2)
+            for k in range(m + 1)
+        )
+        r4, r3, r2, r1 = r3, r2, r1, row
+    return r1
 
 
 def h_linear_recurrence(n: int, k: int) -> int:
@@ -162,26 +165,20 @@ def g_near_top(n: int, k: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROWS_KEPT)
 def g_polynomial(n: int) -> tuple[int, ...]:
     """Coefficients of G_n(t) by the three-term polynomial recurrence
-    G_n = (2 + 2t) G_{n-1} - (1 + t) G_{n-2}, the integer-arithmetic
-    equivalent of the surd closed form."""
+    G_n = (2 + 2t) G_{n-1} - (1 + t) G_{n-2} = (1 + t)(2 G_{n-1} - G_{n-2}),
+    the integer-arithmetic equivalent of the surd closed form."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    p2, p1 = (1,), (1, 2)  # G_{m-2}, G_{m-1}
     if n == 0:
-        return (1,)
-    if n == 1:
-        return (1, 2)
-    p1, p2 = g_polynomial(n - 1), g_polynomial(n - 2)
-
-    def at(row, k):
-        return row[k] if 0 <= k < len(row) else 0
-
-    return tuple(
-        2 * at(p1, k) + 2 * at(p1, k - 1) - at(p2, k) - at(p2, k - 1)
-        for k in range(n + 1)
-    )
+        return p2
+    for _ in range(2, n + 1):
+        u = [2 * a - b for a, b in zip(p1, p2 + (0,))]
+        p2, p1 = p1, tuple(a + b for a, b in zip(u + [0], [0] + u))
+    return p1
 
 
 # --- bivariate rational series ----------------------------------------------
@@ -230,26 +227,27 @@ def expand_rational(P: Poly2, Q: Poly2, max_n: int, max_k: int) -> BiSeries:
     q0 = Q.get((0, 0), 0)
     if q0 == 0:
         raise ValueError("denominator has zero constant term; series undefined")
+    terms = [(i, j, q) for (i, j), q in Q.items() if (i, j) != (0, 0)]
     rows = [[0] * (max_k + 1) for _ in range(max_n + 1)]
     for n in range(max_n + 1):
         for k in range(max_k + 1):
-            acc = Fraction(P.get((n, k), 0))
-            for (i, j), q in Q.items():
-                if (i, j) != (0, 0) and i <= n and j <= k:
+            acc = P.get((n, k), 0)
+            for i, j, q in terms:
+                if i <= n and j <= k:
                     acc -= q * rows[n - i][k - j]
-            acc /= q0
-            if acc.denominator != 1:
+            value, rest = divmod(acc, q0)
+            if rest:
                 raise ValueError(f"non-integer series coefficient at ({n}, {k})")
-            rows[n][k] = int(acc)
+            rows[n][k] = value
     return BiSeries(max_n, max_k, tuple(tuple(r) for r in rows))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROWS_KEPT)
 def g_series(max_n: int) -> BiSeries:
     return expand_rational(G_NUMERATOR, G_DENOMINATOR, max_n, max_n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ROWS_KEPT)
 def h_series(max_n: int) -> BiSeries:
     return expand_rational(H_NUMERATOR, H_DENOMINATOR, max_n, max_n)
 

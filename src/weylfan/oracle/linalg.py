@@ -116,5 +116,6 @@ def rank_of(rows) -> int:
     return _bareiss_rank(_integerize(rows))
 
 
-def dot(u, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
+def dot(u, v):
+    """Exact inner product; int vectors stay int."""
+    return sum(a * b for a, b in zip(u, v))

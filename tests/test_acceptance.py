@@ -102,7 +102,7 @@ def test_01_face_table_five_ways(announce):
     for n in range(11):
         row = GOLDEN_FACES[n]
         ok &= [ct.g_recurrence(n, k) for k in range(n + 1)] == row
-        ok &= list(ct._g_linear_row(n)) == row
+        ok &= [ct.g_linear_recurrence(n, k) for k in range(n + 1)] == row
         ok &= [series.coeff(n, k) for k in range(n + 1)] == row
         ok &= [ct.g_closed_form(n, k) for k in range(n + 1)] == row
         if n <= 8:
@@ -123,7 +123,7 @@ def test_02_flat_table_four_ways(announce):
     for n in range(11):
         row = GOLDEN_FLATS[n]
         ok &= [ct.h_recurrence(n, k) for k in range(n + 1)] == row
-        ok &= list(ct._h_linear_row(n)) == row
+        ok &= [ct.h_linear_recurrence(n, k) for k in range(n + 1)] == row
         ok &= [series.coeff(n, k) for k in range(n + 1)] == row
         if n <= 6:
             counted = [
@@ -281,3 +281,20 @@ def test_10_rank_two_picture(announce):
     ok &= len(chambers) == 4 and len(edges) == 3
     ok &= sorted(degree.values()) == [1, 1, 2, 2]  # a path, not a cycle or star
     announce("10 rank-two picture", ok, time.monotonic() - started, 1)
+
+
+def test_11_large_rows_by_default_recurrence(announce, capsys):
+    from weylfan.cli import main
+
+    n = 1200
+    started = time.monotonic()
+    runs = {}
+    for table in ("--faces", "--flats"):
+        code = main(["count", table, "-n", str(n)])
+        runs[table] = (code, capsys.readouterr().out)
+    elapsed = time.monotonic() - started
+    faces = list(ct.g_polynomial(n))
+    flats = [ct.h_linear_recurrence(n, k) for k in range(n + 1)]
+    ok = runs["--faces"] == (0, " ".join(map(str, faces)) + "\n")
+    ok &= runs["--flats"] == (0, " ".join(map(str, flats)) + "\n")
+    announce("11 count rows at n=1200 by the default recurrence", ok, elapsed, 10)

@@ -3,6 +3,8 @@ agreement between independent computing paths, the convolution identities,
 and the errata record."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylfan import counting as ct
 from weylfan.poset import chain_count, enumerate_chains, enumerate_ensembles
@@ -61,19 +63,52 @@ def test_h_golden_all_paths(n):
 
 
 def test_agreement_to_25():
-    gs = ct.g_series(25)
-    hs = ct.h_series(25)
-    for n in range(26):
+    gs = ct.g_series(300)
+    hs = ct.h_series(300)
+    for n in [*range(26), 300]:
         for k in range(n + 1):
             g = ct.g_recurrence(n, k)
             assert g == ct.g_linear_recurrence(n, k)
-            assert g == ct.g_closed_form(n, k)
-            assert g == ct.g_near_top(n, n - k)
-            assert g == ct.g_polynomial(n)[k]
             assert g == gs.coeff(n, k)
             h = ct.h_recurrence(n, k)
             assert h == ct.h_linear_recurrence(n, k)
             assert h == hs.coeff(n, k)
+            if n <= 25:
+                assert g == ct.g_closed_form(n, k)
+                assert g == ct.g_near_top(n, n - k)
+                assert g == ct.g_polynomial(n)[k]
+
+
+def test_large_n_without_recursion():
+    h_row = [ct.h_linear_recurrence(300, k) for k in range(301)]
+    assert h_row == [ct.h_recurrence(300, k) for k in range(301)]
+    g_row = list(ct.g_polynomial(1200))
+    assert [ct.g_linear_recurrence(1200, k) for k in range(1201)] == g_row
+    assert ct.g_recurrence(1200, 600) == g_row[600]
+    assert ct.h_recurrence(500, 250) == ct.h_linear_recurrence(500, 250)
+    # rho(., k) is the double running sum of h(., k) over the rank
+    second_difference = ct.rho(1200, 600) - 2 * ct.rho(1199, 600) + ct.rho(1198, 600)
+    assert second_difference == ct.h_recurrence(1200, 600) > 0
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 80), st.integers(-1, 81))
+def test_recurrence_sums_hold(n, k):
+    """The public g, h and rho satisfy the sums in their docstrings."""
+    g_sum = sum((l + 1) * ct.g_recurrence(n - l, k - 1) for l in range(1, n - k + 2))
+    assert ct.g_recurrence(n, k) == ((k == 0) + g_sum if 0 <= k <= n else 0)
+    h_sum = sum((l + 1) * ct.rho(n - l - 2, k - l - 1) for l in range(n))
+    assert ct.h_recurrence(n, k) == ((n == k) + h_sum if 0 <= k <= n else 0)
+    rho_sum = sum((l + 1) * ct.h_recurrence(n - l, k) for l in range(n + 1))
+    assert ct.rho(n, k) == ((k == -1) + rho_sum if k <= n else 0)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(0, 400).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_face_paths_agree_at_random_n(nk):
+    n, k = nk
+    g = ct.g_recurrence(n, k)
+    assert g == ct.g_linear_recurrence(n, k) == ct.g_closed_form(n, k)
 
 
 def test_g_by_enumeration():
