@@ -26,10 +26,6 @@ from typing import Mapping
 _ROWS_KEPT = 4
 
 
-def _at(row: tuple[int, ...], k: int) -> int:
-    return row[k] if 0 <= k < len(row) else 0
-
-
 def g_recurrence(n: int, k: int) -> int:
     """Face counts g(n, k) by the grouping-by-top-level recurrence.
 
@@ -121,23 +117,25 @@ _H_SEED_ROWS = ((1,), (1, 1), (1, 3, 1), (1, 5, 6, 1))
 def _h_linear_row(n: int) -> tuple[int, ...]:
     if n < 4:
         return _H_SEED_ROWS[n]
-    r4, r3, r2, r1 = _H_SEED_ROWS  # rows m-4 .. m-1
+    # rows m-4 .. m-1, each with two zeros at either end: p[k + 2] is entry k
+    pad = (0, 0)
+    p4, p3, p2, p1 = (pad + row + pad for row in _H_SEED_ROWS)
     for m in range(4, n + 1):
         # The k-2 block's middle coefficient is 2, not the 3 that appears in
         # print: see data/errata.json, "flat-linear-recurrence-coefficient".
         row = tuple(
-            2 * _at(r1, k)
-            - _at(r2, k)
-            + 2 * _at(r1, k - 1)
-            - 3 * _at(r2, k - 1)
-            + 2 * _at(r3, k - 1)
-            - _at(r2, k - 2)
-            + 2 * _at(r3, k - 2)
-            - _at(r4, k - 2)
+            2 * p1[k + 2]
+            - p2[k + 2]
+            + 2 * p1[k + 1]
+            - 3 * p2[k + 1]
+            + 2 * p3[k + 1]
+            - p2[k]
+            + 2 * p3[k]
+            - p4[k]
             for k in range(m + 1)
         )
-        r4, r3, r2, r1 = r3, r2, r1, row
-    return r1
+        p4, p3, p2, p1 = p3, p2, p1, pad + row + pad
+    return p1[2:-2]
 
 
 def h_linear_recurrence(n: int, k: int) -> int:

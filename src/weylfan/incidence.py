@@ -101,23 +101,17 @@ def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
 def _nonneg_combination(gens, target):
     """Exact coefficients t >= 0 with sum t_c * gens[c] = target, else None."""
     # imported here because the oracle package imports this module
-    from .oracle.linalg import RationalMatrix
+    from .oracle.linalg import kernel_basis
 
-    m = len(target)
     k = len(gens)
-    augmented = [[gens[c][r] for c in range(k)] + [target[r]] for r in range(m)]
-    rows, pivots = RationalMatrix.from_rows(augmented).rref()
-    t = [Fraction(0)] * k
-    # a pivot in the target column means no solution; the check below finds it
-    for row_idx, col in enumerate(pivots):
-        if col < k:
-            t[col] = rows[row_idx][k]
-    if any(v < 0 for v in t):
-        return None
-    for r in range(m):
-        if sum(t[c] * gens[c][r] for c in range(k)) != target[r]:
-            return None
-    return t
+    augmented = [[g[r] for g in gens] + [-target[r]] for r in range(len(target))]
+    # t is read off the kernel vector with a 1 in the target column; there is
+    # none when the target is not in the span of gens
+    for vec in kernel_basis(augmented, k + 1):
+        if vec[k] == 1:
+            t = list(vec[:k])
+            return None if any(v < 0 for v in t) else t
+    return None
 
 
 def rays_of_face(n: int, chain: Iterable[PosetPoint]) -> tuple[PosetPoint, ...]:

@@ -15,7 +15,6 @@ from .cells import (
     rays_geometric,
 )
 from .flats import FlatEnumeration, enumerate_flats_geometric
-from .linalg import RationalMatrix
 from .weightsystems import (
     WeightSystem,
     chamber_cell_counts,
@@ -28,7 +27,6 @@ __all__ = [
     "CapExceeded",
     "CellEnumeration",
     "FlatEnumeration",
-    "RationalMatrix",
     "SignCondition",
     "WeightSystem",
     "adjacency_from_cells",

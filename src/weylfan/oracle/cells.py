@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from ..chambers import classify_point
 from ..incidence import weight_functional, weight_indices
 from .linalg import dot, rank_of
 from .simplex import strict_feasible
@@ -232,11 +231,10 @@ def adjacency_from_cells(cells: CellEnumeration):
     walls = [c for c in cells.cells if c.dim == n - 1]
 
     def chamber_index(cell: Cell) -> int:
-        chamber = classify_point(n, cell.witness)
-        vec = chamber.char_vector  # type: ignore[union-attr]
+        # one bit per coordinate in order of absolute value, set when positive
         idx = 0
-        for s in vec:
-            idx = 2 * idx + (1 if s > 0 else 0)
+        for v in sorted(cell.witness, key=abs):
+            idx = 2 * idx + (1 if v > 0 else 0)
         return idx
 
     def extends(chamber: Cell, wall: Cell) -> bool:

@@ -7,6 +7,11 @@ variable subject to every strict constraint shifted by it, inside the
 normalization box |x_i| <= 1; the open set is non-empty iff the optimum is
 positive.  Pivoting is greedy while it makes progress and switches to Bland's
 rule through degenerate stretches, which guarantees termination.
+
+The tableau is exact and fraction-free: its rows are integer rows that stand
+for their positive multiples, and a pivot is one `linalg.eliminate` step per
+row, the same step that computes ranks and kernels.  Values and solutions are
+read back as Fractions.
 """
 
 from __future__ import annotations
@@ -14,10 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import dot, kernel_basis
+from .linalg import dot, eliminate, integer_row, kernel_basis
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class UnboundedProgram(RuntimeError):
@@ -34,18 +38,20 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
     basis must name one column per row forming an identity submatrix with
     rhs >= 0 (an all-slack start in every use below).  Returns the optimal
     value and the primal solution.
+
+    The objective row carries its own positive scale in column ncols, which
+    never enters the basis; the right-hand side is the last column.  Every
+    entering pivot is positive, so every row keeps a positive scale and the
+    signs and ratios that steer the pivoting are those of the rational
+    tableau.
     """
-    m = len(rows)
     ncols = len(objective)
-    tab = [
-        [Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)
-    ]
-    z = [-Fraction(c) for c in objective] + [_ZERO]
+    tab = [integer_row([*row, 0, b]) for row, b in zip(rows, rhs)]
+    z = integer_row([*(-c for c in objective), 1, 0])
     basis = list(basis)
     for r, col in enumerate(basis):
-        if z[col] != 0:
-            f = z[col]
-            z = [a - f * b for a, b in zip(z, tab[r])]
+        if z[col]:
+            z = eliminate(z, tab[r], col)
     stall = 0
     bland = False
     while True:
@@ -53,49 +59,44 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
             entering = next((j for j in range(ncols) if z[j] < 0), None)
         else:
             entering = None
-            best = _ZERO
+            best = 0
             for j in range(ncols):
                 if z[j] < best:
                     best = z[j]
                     entering = j
         if entering is None:
-            value = z[ncols]
             solution = [_ZERO] * ncols
-            for r, col in enumerate(basis):
-                solution[col] = tab[r][ncols]
-            return value, solution
-        ratio = None
+            for row, col in zip(tab, basis):
+                solution[col] = Fraction(row[-1], row[col])
+            return Fraction(z[-1], z[-2]), solution
         leaving = None
-        for r in range(m):
-            a = tab[r][entering]
+        for r, row in enumerate(tab):
+            a = row[entering]
             if a > 0:
-                cand = tab[r][ncols] / a
-                if (
-                    ratio is None
-                    or cand < ratio
-                    or (cand == ratio and basis[r] < basis[leaving])
-                ):
-                    ratio = cand
+                if leaving is None:
+                    leaving = r
+                    continue
+                # b_r / a_r against the best ratio so far, cross-multiplied
+                best_row = tab[leaving]
+                diff = row[-1] * best_row[entering] - best_row[-1] * a
+                if diff < 0 or (diff == 0 and basis[r] < basis[leaving]):
                     leaving = r
         if leaving is None:
             raise UnboundedProgram("objective is unbounded on the feasible cone")
         if stats is not None:
             stats["pivots"] = stats.get("pivots", 0) + 1
-        if ratio == 0:
+        lead = tab[leaving]
+        if lead[-1] == 0:
             stall += 1
-            if stall > 2 * m + 10:
+            if stall > 2 * len(tab) + 10:
                 bland = True
         else:
             stall = 0
-        pv = tab[leaving][entering]
-        tab[leaving] = [v / pv for v in tab[leaving]]
-        for r in range(m):
-            if r != leaving and tab[r][entering] != 0:
-                f = tab[r][entering]
-                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leaving])]
-        if z[entering] != 0:
-            f = z[entering]
-            z = [a - f * b for a, b in zip(z, tab[leaving])]
+        for r, row in enumerate(tab):
+            if r != leaving and row[entering]:
+                tab[r] = eliminate(row, lead, entering)
+        if z[entering]:
+            z = eliminate(z, lead, entering)
         basis[leaving] = entering
 
 
@@ -140,27 +141,27 @@ def strict_feasible(
 
     def with_slack(body, value):
         nonlocal slack
-        row = body + [_ZERO] * (ncols - margin_col - 1)
-        row[slack] = _ONE
+        row = body + [0] * (ncols - margin_col - 1)
+        row[slack] = 1
         rows.append(row)
         rhs.append(value)
         basis.append(slack)
         slack += 1
 
     for srow in strict_proj:
-        body = [-v for v in srow] + [v for v in srow] + [_ONE]
-        with_slack(body, _ZERO)
+        body = [-v for v in srow] + [v for v in srow] + [1]
+        with_slack(body, 0)
     for wrow in weak_proj:
-        body = [-v for v in wrow] + [v for v in wrow] + [_ZERO]
-        with_slack(body, _ZERO)
+        body = [-v for v in wrow] + [v for v in wrow] + [0]
+        with_slack(body, 0)
     for i in range(dim):
         coord = [b[i] for b in basis_vecs]
-        body = [v for v in coord] + [-v for v in coord] + [_ZERO]
-        with_slack(body, _ONE)
-        body = [-v for v in coord] + [v for v in coord] + [_ZERO]
-        with_slack(body, _ONE)
-    objective = [_ZERO] * ncols
-    objective[margin_col] = _ONE
+        body = [v for v in coord] + [-v for v in coord] + [0]
+        with_slack(body, 1)
+        body = [-v for v in coord] + [v for v in coord] + [0]
+        with_slack(body, 1)
+    objective = [0] * ncols
+    objective[margin_col] = 1
     value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
     if value <= 0:
         return None
@@ -201,17 +202,17 @@ def cone_positive(
     basis = []
     for i in range(dim):
         coord = [b[i] for b in basis_vecs]
-        row = [-v for v in coord] + [v for v in coord] + [_ZERO] * (dim + 1)
-        row[2 * d + i] = _ONE
+        row = [-v for v in coord] + [v for v in coord] + [0] * (dim + 1)
+        row[2 * d + i] = 1
         rows.append(row)
-        rhs.append(_ZERO)
+        rhs.append(0)
         basis.append(2 * d + i)
-    cap = [v for v in g] + [-v for v in g] + [_ZERO] * (dim + 1)
-    cap[2 * d + dim] = _ONE
+    cap = [v for v in g] + [-v for v in g] + [0] * (dim + 1)
+    cap[2 * d + dim] = 1
     rows.append(cap)
-    rhs.append(_ONE)
+    rhs.append(1)
     basis.append(2 * d + dim)
-    objective = [v for v in g] + [-v for v in g] + [_ZERO] * (dim + 1)
+    objective = [v for v in g] + [-v for v in g] + [0] * (dim + 1)
     value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
     if value <= 0:
         return None

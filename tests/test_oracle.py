@@ -1,14 +1,15 @@
-import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weylfan import counting as ct
 from weylfan import incidence as inc
 from weylfan.chambers import ray_index
 from weylfan.oracle import (
     CapExceeded,
-    RationalMatrix,
     SignCondition,
     adjacency_from_cells,
     cell_feasible,
@@ -22,42 +23,85 @@ from weylfan.oracle import (
 )
 from weylfan.oracle import weightsystems as wsys
 from weylfan.oracle import simplex
-from weylfan.oracle.linalg import rank_of
-from weylfan.oracle.simplex import CertificateError, simplex_max, strict_feasible
+from weylfan.oracle.linalg import dot, kernel_basis, rank_of
+from weylfan.oracle.simplex import (
+    CertificateError,
+    cone_positive,
+    simplex_max,
+    strict_feasible,
+)
 from weylfan.poset import Ensemble, all_points, enumerate_ensembles
 
 
-def test_rational_matrix_rank():
-    m = RationalMatrix.from_rows([[1, 2], [2, 4], [0, 1]])
-    assert m.rank() == 2
-    assert RationalMatrix.from_rows([[0, 0]]).rank() == 0
-    half = RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, 2], [3, 5]])
-    assert half.rank() == 2
+def reference_rref(rows, dim):
+    """Fraction Gauss-Jordan: the pivot columns and the unique RREF kernel
+    basis, one vector per free column."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(dim):
+        lead = len(pivots)
+        pivot = next((r for r in range(lead, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[lead], m[pivot] = m[pivot], m[lead]
+        pv = m[lead][col]
+        m[lead] = [v / pv for v in m[lead]]
+        for r in range(len(m)):
+            if r != lead and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[lead])]
+        pivots.append(col)
+    basis = []
+    for fc in range(dim):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * dim
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -m[r][fc]
+        basis.append(tuple(vec))
+    return pivots, tuple(basis)
 
 
-def test_rational_matrix_nullspace():
-    m = RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    basis = m.nullspace()
-    assert len(basis) == 1
-    vec = basis[0]
-    assert vec[0] + vec[1] == 0 and vec[1] + vec[2] == 0
+_SMALL_INTS = st.integers(-4, 4)
+_SMALL_FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+_ENTRIES = {
+    "int": _SMALL_INTS,
+    "fraction": _SMALL_FRACTIONS,
+    "mixed": st.one_of(_SMALL_INTS, _SMALL_FRACTIONS),
+    "zero": st.just(0),
+}
 
 
-def test_rank_matches_rref_on_random_matrices():
-    rng = random.Random(20250825)
-    for _ in range(200):
-        rows = [
-            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
-            for _ in range(rng.randint(1, 5))
-        ]
-        m = RationalMatrix.from_rows(rows)
-        _, pivots = m.rref()
-        assert m.rank() == len(pivots)
-        # rank_of takes the rows as given: all ints, or ints mixed with Fractions
-        integer_rows = [[int(v * 6) for v in row] for row in rows]
-        assert rank_of(integer_rows) == len(pivots)
-        mixed = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
-        assert rank_of(mixed) == len(pivots)
+@st.composite
+def small_matrices(draw):
+    """Up to six rows of width 1..5: int, Fraction, mixed and zero rows, and
+    possibly a sum of two of them, so that dependent rows occur often."""
+    dim = draw(st.integers(1, 5))
+    rows = [
+        draw(st.lists(_ENTRIES[kind], min_size=dim, max_size=dim))
+        for kind in draw(st.lists(st.sampled_from(sorted(_ENTRIES)), max_size=5))
+    ]
+    if rows and draw(st.booleans()):
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+    return rows, dim
+
+
+@example(([[1, 2], [2, 4], [0, 1]], 2))
+@example(([[0, 0]], 2))
+@example(([[Fraction(1, 2), 1], [1, 2], [3, 5]], 2))
+@example(([[1, 1, 0], [0, 1, 1]], 3))
+@example(([], 3))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_matrices())
+def test_rank_and_kernel_match_fraction_elimination(matrix):
+    rows, dim = matrix
+    pivots, basis = reference_rref(rows, dim)
+    assert rank_of(rows) == len(pivots)
+    kernel = kernel_basis(rows, dim)
+    assert kernel == basis
+    assert all(isinstance(v, Fraction) for vec in kernel for v in vec)
+    assert all(dot(row, vec) == 0 for row in rows for vec in kernel)
 
 
 def test_simplex_basics():
@@ -77,6 +121,124 @@ def test_strict_feasible_basics():
     assert strict_feasible([(1,)], [], [], 1) == (0,)
     w = strict_feasible([], [(1, -1)], [(0, 1)], 2)
     assert w is not None and w[0] > w[1] and w[1] >= 0
+
+
+def reference_simplex_max(rows, rhs, objective, basis, *, stats=None):
+    """The Fraction tableau simplex that the integer tableau replaced: same
+    entering and leaving rules, every row normalized at its pivot."""
+    m = len(rows)
+    ncols = len(objective)
+    tab = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    z = [-Fraction(c) for c in objective] + [Fraction(0)]
+    basis = list(basis)
+    for r, col in enumerate(basis):
+        if z[col] != 0:
+            f = z[col]
+            z = [a - f * b for a, b in zip(z, tab[r])]
+    stall = 0
+    bland = False
+    while True:
+        if bland:
+            entering = next((j for j in range(ncols) if z[j] < 0), None)
+        else:
+            entering = None
+            best = Fraction(0)
+            for j in range(ncols):
+                if z[j] < best:
+                    best = z[j]
+                    entering = j
+        if entering is None:
+            solution = [Fraction(0)] * ncols
+            for r, col in enumerate(basis):
+                solution[col] = tab[r][ncols]
+            return z[ncols], solution
+        ratio = None
+        leaving = None
+        for r in range(m):
+            a = tab[r][entering]
+            if a > 0:
+                cand = tab[r][ncols] / a
+                if ratio is None or cand < ratio or (cand == ratio and basis[r] < basis[leaving]):
+                    ratio = cand
+                    leaving = r
+        if leaving is None:
+            raise simplex.UnboundedProgram("objective is unbounded on the feasible cone")
+        if stats is not None:
+            stats["pivots"] = stats.get("pivots", 0) + 1
+        if ratio == 0:
+            stall += 1
+            if stall > 2 * m + 10:
+                bland = True
+        else:
+            stall = 0
+        pv = tab[leaving][entering]
+        tab[leaving] = [v / pv for v in tab[leaving]]
+        for r in range(m):
+            if r != leaving and tab[r][entering] != 0:
+                f = tab[r][entering]
+                tab[r] = [a - f * b for a, b in zip(tab[r], tab[leaving])]
+        if z[entering] != 0:
+            f = z[entering]
+            z = [a - f * b for a, b in zip(z, tab[leaving])]
+        basis[leaving] = entering
+
+
+@st.composite
+def bounded_programs(draw):
+    """max c.x on {A x + s = b, x, s >= 0} with b >= 0 and a last row
+    x_1 + ... + x_k + s = cap that keeps the program bounded; the objective
+    covers the slacks too, so the start needs its objective row reduced."""
+    k = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    body = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(m)]
+    body.append([1] * k)
+    rhs = draw(st.lists(st.integers(0, 6), min_size=m + 1, max_size=m + 1))
+    rows = [row + [1 if j == i else 0 for j in range(m + 1)] for i, row in enumerate(body)]
+    # mostly positive on x, so that most programs take several pivots
+    gain = st.one_of(st.integers(-1, 3), st.builds(Fraction, st.integers(0, 3), st.integers(1, 3)))
+    objective = draw(st.lists(gain, min_size=k, max_size=k))
+    objective += draw(st.lists(st.integers(-1, 1), min_size=m + 1, max_size=m + 1))
+    return rows, rhs, objective, list(range(k, k + m + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(bounded_programs())
+def test_simplex_matches_the_fraction_tableau(program):
+    rows, rhs, objective, basis = program
+    ours, ref = {}, {}
+    assert simplex_max(rows, rhs, objective, basis, stats=ours) == reference_simplex_max(
+        rows, rhs, objective, basis, stats=ref
+    )
+    assert ours.get("pivots", 0) == ref.get("pivots", 0)
+
+
+@st.composite
+def sign_systems(draw):
+    """Equality, strict and weak rows in dimension 2 or 3, plus a functional."""
+    dim = draw(st.integers(2, 3))
+    entry = st.one_of(st.integers(-2, 2), st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2)))
+    row = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+    eq, strict, weak = (draw(st.lists(row, max_size=size)) for size in (2, 3, 3))
+    return dim, eq, strict, weak, draw(row)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(sign_systems())
+def test_lp_witnesses_hold_and_match_the_reference(system):
+    dim, eq, strict, weak, functional = system
+    witness = strict_feasible(eq, strict, weak, dim)
+    point = cone_positive(eq, functional, dim)
+    with mock.patch.object(simplex, "simplex_max", reference_simplex_max):
+        assert witness == strict_feasible(eq, strict, weak, dim)
+        assert point == cone_positive(eq, functional, dim)
+    if witness is not None:
+        assert all(dot(r, witness) == 0 for r in eq)
+        assert all(dot(r, witness) > 0 for r in strict)
+        assert all(dot(r, witness) >= 0 for r in weak)
+    if point is not None:
+        assert all(v >= 0 for v in point) and dot(functional, point) > 0
+        assert all(dot(r, point) == 0 for r in eq)
 
 
 def test_witness_checks_reject_a_bogus_optimum(monkeypatch):
