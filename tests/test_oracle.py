@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -61,6 +62,35 @@ def reference_rref(rows, dim):
             vec[pc] = -m[r][fc]
         basis.append(tuple(vec))
     return pivots, tuple(basis)
+
+
+def test_rational_matrix_rank():
+    assert rank_of([[1, 2], [2, 4], [0, 1]]) == 2
+    assert rank_of([[0, 0]]) == 0
+    assert rank_of([[Fraction(1, 2), 1], [1, 2], [3, 5]]) == 2
+
+
+def test_rational_matrix_nullspace():
+    basis = kernel_basis([[1, 1, 0], [0, 1, 1]], 3)
+    assert len(basis) == 1
+    vec = basis[0]
+    assert vec[0] + vec[1] == 0 and vec[1] + vec[2] == 0
+
+
+def test_rank_matches_rref_on_random_matrices():
+    rng = random.Random(20250825)
+    for _ in range(200):
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+            for _ in range(rng.randint(1, 5))
+        ]
+        pivots, _ = reference_rref(rows, 4)
+        assert rank_of(rows) == len(pivots)
+        # rank_of takes the rows as given: all ints, or ints mixed with Fractions
+        integer_rows = [[int(v * 6) for v in row] for row in rows]
+        assert rank_of(integer_rows) == len(pivots)
+        mixed = [[int(v) if v.denominator == 1 else v for v in row] for row in rows]
+        assert rank_of(mixed) == len(pivots)
 
 
 _SMALL_INTS = st.integers(-4, 4)
