@@ -59,7 +59,7 @@ class UsageError(Exception):
 
 # table -> (flag destination, environment variable, default) of its oracle cap
 _ORACLE_CAPS = {
-    "faces": ("oracle_cap_cells", "WEYLFAN_ORACLE_CAP_CELLS", 4),
+    "faces": ("oracle_cap_cells", "WEYLFAN_ORACLE_CAP_CELLS", 5),
     "flats": ("oracle_cap_flats", "WEYLFAN_ORACLE_CAP_FLATS", 6),
 }
 

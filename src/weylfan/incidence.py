@@ -105,12 +105,14 @@ def _nonneg_combination(gens, target):
 
     k = len(gens)
     augmented = [[g[r] for g in gens] + [-target[r]] for r in range(len(target))]
-    # t is read off the kernel vector with a 1 in the target column; there is
-    # none when the target is not in the span of gens
+    # t is read off the kernel vector whose free column is the target column,
+    # the only one nonzero there, as vec[:k] / vec[k] with vec[k] > 0; there
+    # is none when the target is not in the span of gens
     for vec in kernel_basis(augmented, k + 1):
-        if vec[k] == 1:
-            t = list(vec[:k])
-            return None if any(v < 0 for v in t) else t
+        if vec[k]:
+            if any(v < 0 for v in vec[:k]):
+                return None
+            return [Fraction(v, vec[k]) for v in vec[:k]]
     return None
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from ..incidence import weight_functional, weight_indices
-from .linalg import dot, rank_of
+from .linalg import dot, integer_row, rank_of
 from .simplex import strict_feasible
 
 N1_NOTE = (
@@ -135,40 +135,38 @@ def enumerate_generic_cells(
         return eq, strict, weak
 
     def check(signs, inherited):
-        # the inherited witness may already realize every assigned sign
+        """(witness, a positive int multiple of it) for signs, or None.  The
+        inherited witness realizes every earlier sign, so only the new slot
+        is tested against it; failing that, one LP decides."""
         if inherited is not None:
-            ok = True
-            for pos, s in enumerate(signs):
-                row = cut_rows[pos] if pos < n_cuts else facet_rows[pos - n_cuts]
-                val = dot(row, inherited)
-                want = (val > 0) - (val < 0)
-                if want != s:
-                    ok = False
-                    break
-            if ok:
+            pos = len(signs) - 1
+            row = cut_rows[pos] if pos < n_cuts else facet_rows[pos - n_cuts]
+            val = dot(row, inherited[1])
+            if (val > 0) - (val < 0) == signs[pos]:
                 stats["witness_hits"] = stats.get("witness_hits", 0) + 1
                 return inherited
         stats["nodes"] = stats.get("nodes", 0) + 1
         eq, strict, weak = slot_rows(signs)
-        return strict_feasible(eq, strict, weak, dim, stats=stats)
+        witness = strict_feasible(eq, strict, weak, dim, stats=stats)
+        return None if witness is None else (witness, integer_row(witness))
 
     def branches(pos):
         return (-1, 0, 1) if pos < n_cuts else (0, 1)
 
     out = []
 
-    def walk(signs, witness):
+    def walk(signs, found):
         if len(signs) == n_slots:
             cut_signs = tuple(signs[:n_cuts])
             facet_signs = tuple(signs[n_cuts:])
             d = _cell_dim(
                 dim, cut_rows, facet_rows, ambient_eqs, cut_signs, facet_signs
             )
-            out.append((cut_signs, facet_signs, d, witness))
+            out.append((cut_signs, facet_signs, d, found and found[0]))
             return
         for s in branches(len(signs)):
             child = signs + [s]
-            w = check(child, witness)
+            w = check(child, found)
             if w is not None:
                 walk(child, w)
 
@@ -179,7 +177,7 @@ def enumerate_generic_cells(
     return out, counts
 
 
-def enumerate_cells(n: int, *, cap: int = 4) -> CellEnumeration:
+def enumerate_cells(n: int, *, cap: int = 5) -> CellEnumeration:
     """Every cell of the rank-n picture, tallied by dimension."""
     if n < 1:
         raise ValueError("rank must be at least 1")
@@ -201,7 +199,7 @@ def enumerate_cells(n: int, *, cap: int = 4) -> CellEnumeration:
     return CellEnumeration(n, counts, cells, notes, stats)
 
 
-def rays_geometric(n: int, *, cap: int = 4, cells=None):
+def rays_geometric(n: int, *, cap: int = 5, cells=None):
     """The 1-dimensional cells as exactly normalized direction vectors.
 
     Every witness, scaled by its largest absolute coordinate, must land on a

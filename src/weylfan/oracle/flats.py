@@ -86,10 +86,12 @@ def _closure(n, T, cvecs, stats):
         else:
             points.append(point)
     span = kernel_basis(rows + equalities, dim)
+    # (c - base) . k == 0 for every int kernel vector k, in ints
+    offsets = [dot(base, k) for k in span]
     tight = frozenset(
         u
         for u, c in cvecs.items()
-        if all(dot([a - b for a, b in zip(c, base)], k) == 0 for k in span)
+        if all(dot(c, k) == o for k, o in zip(span, offsets))
     )
     return tight, len(span)
 

@@ -6,12 +6,12 @@ Rows of ints and Fractions enter through `integer_row`, which clears their
 denominators.  `eliminate` clears one column of a row against a pivot row and
 divides the result by the gcd of its entries, so the entries stay small and
 no Fraction is created inside any elimination loop (Bareiss 1968, Math.
-Comp. 22; Edmonds 1967, J. Res. NBS 71B).
+Comp. 22; Edmonds 1967, J. Res. NBS 71B).  Kernel vectors come out as
+primitive int vectors too, so products against them stay int.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -54,9 +54,14 @@ def rank_of(rows) -> int:
     return rank
 
 
-def kernel_basis(rows, dim: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Kernel of the row system inside Q^dim, one vector per free column of
-    the reduced row echelon form; no rows gives the identity."""
+def kernel_basis(rows, dim: int) -> tuple[tuple[int, ...], ...]:
+    """Kernel of the row system inside Q^dim, one primitive int vector per
+    free column of the reduced row echelon form; no rows gives the identity.
+
+    Each vector is the RREF kernel vector (1 at its free column) times the
+    lcm s > 0 of its denominators.  Its entry at the free column is s, and
+    that is its last nonzero entry, so v / v[last nonzero] is the RREF vector.
+    """
     m = [integer_row(row) for row in rows]
     pivots: list[int] = []
     for col in range(dim):
@@ -73,10 +78,13 @@ def kernel_basis(rows, dim: int) -> tuple[tuple[Fraction, ...], ...]:
     for fc in range(dim):
         if fc in pivots:
             continue
-        vec = [Fraction(0)] * dim
-        vec[fc] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            vec[pc] = Fraction(-row[fc], row[pc])
+        # the RREF entry at pc is -row[fc] / row[pc]
+        entries = [(pc, row[fc], row[pc]) for row, pc in zip(m, pivots) if row[fc]]
+        s = lcm(*(abs(p) // gcd(f, p) for _, f, p in entries))
+        vec = [0] * dim
+        vec[fc] = s
+        for pc, f, p in entries:
+            vec[pc] = -f * s // p
         basis.append(tuple(vec))
     return tuple(basis)
 

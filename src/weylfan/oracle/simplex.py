@@ -10,13 +10,17 @@ rule through degenerate stretches, which guarantees termination.
 
 The tableau is exact and fraction-free: its rows are integer rows that stand
 for their positive multiples, and a pivot is one `linalg.eliminate` step per
-row, the same step that computes ranks and kernels.  Values and solutions are
+row, the same step that computes ranks and kernels.  The two questions build
+their tableaux from the primitive int kernel vectors of `kernel_basis`, each
+row L times the row of the rational tableau over the RREF kernel vectors, so
+they pivot exactly as that tableau does.  Values, solutions and witnesses are
 read back as Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .linalg import dot, eliminate, integer_row, kernel_basis
@@ -35,9 +39,10 @@ class CertificateError(RuntimeError):
 def simplex_max(rows, rhs, objective, basis, *, stats=None):
     """Maximize objective over {rows . x = rhs, x >= 0}.
 
-    basis must name one column per row forming an identity submatrix with
-    rhs >= 0 (an all-slack start in every use below).  Returns the optimal
-    value and the primal solution.
+    basis must name one column per row, with a positive entry in its own row
+    and zeros in every other row (not necessarily 1), and rhs >= 0: an
+    all-slack start in every use below.  Returns the optimal value and the
+    primal solution.
 
     The objective row carries its own positive scale in column ncols, which
     never enters the basis; the right-hand side is the last column.  Every
@@ -100,6 +105,32 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
         basis[leaving] = entering
 
 
+def _columns(basis_vecs):
+    """Multipliers that turn products with the primitive kernel vectors B_j
+    into L times products with the RREF vectors b_j.
+
+    B_j is s_j times b_j, s_j its last nonzero entry.  With L = lcm(s_j),
+    the product of a row with B_j times L // s_j is L times its product with
+    b_j: an LP assembled from these int columns, every other entry of a row
+    times L too, is the rational LP over the b_j up to positive row scaling,
+    so it pivots the same way.  Returns L and the multipliers L // s_j.
+    """
+    scales = [next(v for v in reversed(b) if v) for b in basis_vecs]
+    big = lcm(*scales)
+    return big, [big // s for s in scales]
+
+
+def _kernel_point(solution, basis_vecs, big, mult, dim):
+    """The point sum_j (p_j - q_j) b_j of an LP solution, as Fractions and as
+    a positive integer multiple of it; b_j is B_j * (L // s_j) / L."""
+    d = len(basis_vecs)
+    coeffs = [(solution[j] - solution[d + j]) * m for j, m in enumerate(mult)]
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    ints = [sum(a * b[i] for a, b in zip(nums, basis_vecs)) for i in range(dim)]
+    return tuple(Fraction(v, den * big) for v in ints), ints
+
+
 def strict_feasible(
     eq_rows: Sequence[Sequence],
     strict_rows: Sequence[Sequence],
@@ -119,16 +150,17 @@ def strict_feasible(
     d = len(basis_vecs)
     zero = tuple([_ZERO] * dim)
     if d == 0:
-        if any(any(Fraction(v) != 0 for v in row) for row in strict_rows):
-            return None
-        return zero
-    strict_proj = [[dot(row, b) for b in basis_vecs] for row in strict_rows]
+        # the origin is the only point, and no strict row is positive there
+        return None if strict_rows else zero
+    big, mult = _columns(basis_vecs)
+    strict_proj = [[dot(row, b) * m for b, m in zip(basis_vecs, mult)] for row in strict_rows]
     if any(all(v == 0 for v in row) for row in strict_proj):
         return None
     if not strict_rows:
         return zero  # kernel point; every weak row vanishes there
-    weak_proj = [[dot(row, b) for b in basis_vecs] for row in weak_rows]
-    # columns: p (d), q (d), margin, one slack per row below
+    weak_proj = [[dot(row, b) * m for b, m in zip(basis_vecs, mult)] for row in weak_rows]
+    # columns: p (d), q (d), margin, one slack per row below; every row is
+    # L times its rational counterpart
     n_strict = len(strict_proj)
     n_weak = len(weak_proj)
     n_box = 2 * dim
@@ -142,37 +174,34 @@ def strict_feasible(
     def with_slack(body, value):
         nonlocal slack
         row = body + [0] * (ncols - margin_col - 1)
-        row[slack] = 1
+        row[slack] = big
         rows.append(row)
         rhs.append(value)
         basis.append(slack)
         slack += 1
 
     for srow in strict_proj:
-        body = [-v for v in srow] + [v for v in srow] + [1]
+        body = [-v for v in srow] + [v for v in srow] + [big]
         with_slack(body, 0)
     for wrow in weak_proj:
         body = [-v for v in wrow] + [v for v in wrow] + [0]
         with_slack(body, 0)
     for i in range(dim):
-        coord = [b[i] for b in basis_vecs]
+        coord = [b[i] * m for b, m in zip(basis_vecs, mult)]
         body = [v for v in coord] + [-v for v in coord] + [0]
-        with_slack(body, 1)
+        with_slack(body, big)
         body = [-v for v in coord] + [v for v in coord] + [0]
-        with_slack(body, 1)
+        with_slack(body, big)
     objective = [0] * ncols
     objective[margin_col] = 1
     value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
     if value <= 0:
         return None
-    w = [solution[j] - solution[d + j] for j in range(d)]
-    witness = tuple(
-        sum((w[j] * basis_vecs[j][i] for j in range(d)), _ZERO) for i in range(dim)
-    )
+    witness, scaled = _kernel_point(solution, basis_vecs, big, mult, dim)
     if (
-        any(dot(row, witness) != 0 for row in eq_rows)
-        or any(dot(row, witness) <= 0 for row in strict_rows)
-        or any(dot(row, witness) < 0 for row in weak_rows)
+        any(dot(row, scaled) != 0 for row in eq_rows)
+        or any(dot(row, scaled) <= 0 for row in strict_rows)
+        or any(dot(row, scaled) < 0 for row in weak_rows)
     ):
         raise CertificateError(f"witness {witness} violates the sign system")
     return witness
@@ -192,38 +221,37 @@ def cone_positive(
     d = len(basis_vecs)
     if d == 0:
         return None
-    g = [dot(functional, b) for b in basis_vecs]
+    big, mult = _columns(basis_vecs)
+    g = [dot(functional, b) * m for b, m in zip(basis_vecs, mult)]
     if all(v == 0 for v in g):
         return None
-    # columns: p, q, then a slack per coordinate row and one for the cap
+    # columns: p, q, then a slack per coordinate row and one for the cap;
+    # every row, and the objective, is L times its rational counterpart
     ncols = 2 * d + dim + 1
     rows = []
     rhs = []
     basis = []
     for i in range(dim):
-        coord = [b[i] for b in basis_vecs]
+        coord = [b[i] * m for b, m in zip(basis_vecs, mult)]
         row = [-v for v in coord] + [v for v in coord] + [0] * (dim + 1)
-        row[2 * d + i] = 1
+        row[2 * d + i] = big
         rows.append(row)
         rhs.append(0)
         basis.append(2 * d + i)
     cap = [v for v in g] + [-v for v in g] + [0] * (dim + 1)
-    cap[2 * d + dim] = 1
+    cap[2 * d + dim] = big
     rows.append(cap)
-    rhs.append(1)
+    rhs.append(big)
     basis.append(2 * d + dim)
     objective = [v for v in g] + [-v for v in g] + [0] * (dim + 1)
     value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
     if value <= 0:
         return None
-    w = [solution[j] - solution[d + j] for j in range(d)]
-    point = tuple(
-        sum((w[j] * basis_vecs[j][i] for j in range(d)), _ZERO) for i in range(dim)
-    )
+    point, scaled = _kernel_point(solution, basis_vecs, big, mult, dim)
     if (
-        any(v < 0 for v in point)
-        or dot(functional, point) <= 0
-        or any(dot(row, point) != 0 for row in eq_rows)
+        any(v < 0 for v in scaled)
+        or dot(functional, scaled) <= 0
+        or any(dot(row, scaled) != 0 for row in eq_rows)
     ):
         raise CertificateError(f"point {point} is not a positive cone point")
     return point

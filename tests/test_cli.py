@@ -89,7 +89,7 @@ def test_count_refusals(capsys):
         capsys, "count", "--flats", "-n", "3", "--method", "closed-form"
     )
     assert code == 2 and "closed form" in err
-    code, _, err = run(capsys, "count", "--faces", "-n", "5", "--method", "oracle")
+    code, _, err = run(capsys, "count", "--faces", "-n", "6", "--method", "oracle")
     assert code == 2 and "cap" in err
     for table in ("--faces", "--flats"):
         code, out, err = run(capsys, "count", table, "-n", "0", "--method", "oracle")

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +119,10 @@ def test_rays_of_face_recovers_chain():
         for k in range(n + 1):
             for chain in enumerate_chains(n, k):
                 assert inc.rays_of_face(n, chain) == chain
+    # coefficients with denominators: the kernel vector's target entry is not 1
+    assert inc._nonneg_combination([(2, 0), (0, 3)], (1, 1)) == [Fraction(1, 2), Fraction(1, 3)]
+    assert inc._nonneg_combination([(2, 0), (0, 3)], (1, -1)) is None
+    assert inc._nonneg_combination([(2, 0)], (0, 1)) is None
 
 
 def test_face_from_chain_errors():

@@ -1,5 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -75,6 +77,10 @@ def test_rational_matrix_nullspace():
     assert len(basis) == 1
     vec = basis[0]
     assert vec[0] + vec[1] == 0 and vec[1] + vec[2] == 0
+    assert vec == (1, -1, 1)
+    # RREF vectors (-3/2, 1, 0) and (0, 0, 1), each scaled to primitive ints
+    assert kernel_basis([[2, 3, 0]], 3) == ((-3, 2, 0), (0, 0, 1))
+    assert kernel_basis([[Fraction(1, 2), Fraction(1, 3)]], 2) == ((-2, 3),)
 
 
 def test_rank_matches_rref_on_random_matrices():
@@ -129,8 +135,13 @@ def test_rank_and_kernel_match_fraction_elimination(matrix):
     pivots, basis = reference_rref(rows, dim)
     assert rank_of(rows) == len(pivots)
     kernel = kernel_basis(rows, dim)
-    assert kernel == basis
-    assert all(isinstance(v, Fraction) for vec in kernel for v in vec)
+    assert len(kernel) == len(basis)
+    for vec, rref in zip(kernel, basis):
+        assert all(type(v) is int for v in vec)
+        assert gcd(*vec) == 1
+        last = next(v for v in reversed(vec) if v)
+        assert last > 0
+        assert tuple(Fraction(v, last) for v in vec) == rref
     assert all(dot(row, vec) == 0 for row in rows for vec in kernel)
 
 
@@ -149,16 +160,21 @@ def test_strict_feasible_basics():
     assert strict_feasible([], [(1,)], [], 1) is not None
     assert strict_feasible([], [(1,), (-1,)], [], 1) is None
     assert strict_feasible([(1,)], [], [], 1) == (0,)
+    # full-rank equalities leave only the origin, where no strict row is positive
+    assert strict_feasible([(1,)], [(0,)], [], 1) is None
+    assert strict_feasible([(1, 0), (0, 1)], [(1, 1)], [], 2) is None
     w = strict_feasible([], [(1, -1)], [(0, 1)], 2)
     assert w is not None and w[0] > w[1] and w[1] >= 0
 
 
 def reference_simplex_max(rows, rhs, objective, basis, *, stats=None):
     """The Fraction tableau simplex that the integer tableau replaced: same
-    entering and leaving rules, every row normalized at its pivot."""
+    entering and leaving rules, every row normalized at its pivot (and at the
+    start, where a basic column may carry any positive entry)."""
     m = len(rows)
     ncols = len(objective)
     tab = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    tab = [[v / row[col] for v in row] for row, col in zip(tab, basis)]
     z = [-Fraction(c) for c in objective] + [Fraction(0)]
     basis = list(basis)
     for r, col in enumerate(basis):
@@ -225,6 +241,10 @@ def bounded_programs(draw):
     body.append([1] * k)
     rhs = draw(st.lists(st.integers(0, 6), min_size=m + 1, max_size=m + 1))
     rows = [row + [1 if j == i else 0 for j in range(m + 1)] for i, row in enumerate(body)]
+    # each row and its rhs times a positive int: a basic column need not carry a 1
+    scales = draw(st.lists(st.integers(1, 3), min_size=m + 1, max_size=m + 1))
+    rows = [[c * v for v in row] for c, row in zip(scales, rows)]
+    rhs = [c * b for c, b in zip(scales, rhs)]
     # mostly positive on x, so that most programs take several pivots
     gain = st.one_of(st.integers(-1, 3), st.builds(Fraction, st.integers(0, 3), st.integers(1, 3)))
     objective = draw(st.lists(gain, min_size=k, max_size=k))
@@ -253,12 +273,64 @@ def sign_systems(draw):
     return dim, eq, strict, weak, draw(row)
 
 
+def _reference_lp(basis, bodies, objective, stats):
+    """Solve max objective over bodies (row, rhs) with one unit slack each,
+    by the Fraction simplex; returns the point sum_j (p_j - q_j) b_j."""
+    d, m = len(basis), len(bodies)
+    rows = [body + [1 if j == r else 0 for j in range(m)] for r, (body, _) in enumerate(bodies)]
+    slacks = list(range(len(objective), len(objective) + m))
+    value, sol = reference_simplex_max(
+        rows, [v for _, v in bodies], objective + [0] * m, slacks, stats=stats
+    )
+    if value <= 0:
+        return None
+    dim = len(basis[0])
+    return tuple(sum((sol[j] - sol[d + j]) * b[i] for j, b in enumerate(basis)) for i in range(dim))
+
+
+def reference_strict_feasible(eq, strict, weak, dim, *, stats=None):
+    """strict_feasible's margin LP as the rational tableau over the RREF
+    kernel vectors: margin and slacks 1, box |x_i| <= 1."""
+    _, basis = reference_rref(eq, dim)
+    if not basis:
+        return None if strict else (0,) * dim
+    sp, wp = ([[dot(r, b) for b in basis] for r in rows] for rows in (strict, weak))
+    if any(all(v == 0 for v in r) for r in sp):
+        return None
+    if not strict:
+        return (0,) * dim
+    bodies = [([-v for v in r] + r + [1], 0) for r in sp]
+    bodies += [([-v for v in r] + r + [0], 0) for r in wp]
+    for i in range(dim):
+        c = [b[i] for b in basis]
+        bodies += [(c + [-v for v in c] + [0], 1), ([-v for v in c] + c + [0], 1)]
+    return _reference_lp(basis, bodies, [0] * (2 * len(basis)) + [1], stats)
+
+
+def reference_cone_positive(eq, functional, dim, *, stats=None):
+    """cone_positive's LP as the rational tableau over the RREF kernel
+    vectors: r >= 0 and functional . r <= 1, maximize functional . r."""
+    _, basis = reference_rref(eq, dim)
+    g = [dot(functional, b) for b in basis]
+    if all(v == 0 for v in g):
+        return None
+    bodies = [([-b[i] for b in basis] + [b[i] for b in basis], 0) for i in range(dim)]
+    bodies.append((g + [-v for v in g], 1))
+    return _reference_lp(basis, bodies, g + [-v for v in g], stats)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(sign_systems())
 def test_lp_witnesses_hold_and_match_the_reference(system):
     dim, eq, strict, weak, functional = system
-    witness = strict_feasible(eq, strict, weak, dim)
-    point = cone_positive(eq, functional, dim)
+    ours, ref = {}, {}
+    witness = strict_feasible(eq, strict, weak, dim, stats=ours)
+    point = cone_positive(eq, functional, dim, stats=ours)
+    # the int columns are the rational tableau up to positive row scaling:
+    # same witnesses, same pivots
+    assert witness == reference_strict_feasible(eq, strict, weak, dim, stats=ref)
+    assert point == reference_cone_positive(eq, functional, dim, stats=ref)
+    assert ours.get("pivots", 0) == ref.get("pivots", 0)
     with mock.patch.object(simplex, "simplex_max", reference_simplex_max):
         assert witness == strict_feasible(eq, strict, weak, dim)
         assert point == cone_positive(eq, functional, dim)
@@ -344,10 +416,60 @@ def test_cell_dimension_against_tight_rank():
     assert [by_dim.get(k, 0) for k in range(4)] == enum.counts
 
 
+def _sha256(records):
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(record).encode())
+    return h.hexdigest()
+
+
+# stats and output digests of the oracle searches; any change to the LP
+# assembly that moves a pivot, a witness or a closure shows here
+PINNED_CELLS = {
+    3: (
+        {"nodes": 162, "lp_calls": 162, "pivots": 470, "witness_hits": 104, "cells": 34},
+        "12f557030c19c38397cd6b1efa39fd4dbdd4003f83525cb1e83d65bcd0b5fee9",
+    ),
+    4: (
+        {"nodes": 746, "lp_calls": 746, "pivots": 3000, "witness_hits": 486, "cells": 116},
+        "47981f04b4e183dc1508495cbe3b35a89cb84415092a578e423c73d2ecd40daf",
+    ),
+}
+PINNED_FLATS = {
+    4: (
+        {"lp_calls": 287, "pivots": 318, "flats": 34, "closures": 187},
+        "8ac8037f6a8ecfa2575265236d1797a92d2d61dc7ca90628473731e8023b11d1",
+    ),
+    5: (
+        {"lp_calls": 1865, "pivots": 2377, "flats": 89, "closures": 834},
+        "03577b47b50a2506374ae45dca672fb80392b717493372df0ab5457fb116a5a2",
+    ),
+}
+
+
+def test_oracle_counters_and_outputs_are_pinned():
+    for n, (stats, digest) in PINNED_CELLS.items():
+        enum = enumerate_cells(n)
+        assert enum.stats == stats
+        assert digest == _sha256(
+            (
+                c.condition.weight_signs,
+                c.condition.root_signs,
+                c.dim,
+                tuple(str(v) for v in c.witness),
+            )
+            for c in enum.cells
+        )
+    for n, (stats, digest) in PINNED_FLATS.items():
+        enum = enumerate_flats_geometric(n)
+        assert enum.stats == stats
+        assert digest == _sha256((sorted(f.tight), f.dim) for f in enum.flats)
+
+
 def test_cap_refusals():
     with pytest.raises(CapExceeded) as err:
-        enumerate_cells(5)
-    assert "3^(n(n+1)/2)" in str(err.value) and str(3**15 * 2**4) in str(err.value)
+        enumerate_cells(6)
+    assert "3^(n(n+1)/2)" in str(err.value) and str(3**21 * 2**5) in str(err.value)
     with pytest.raises(CapExceeded) as err:
         enumerate_flats_geometric(7)
     assert "2^(n(n+1)/2)" in str(err.value) and str(2**28) in str(err.value)
