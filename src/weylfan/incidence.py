@@ -13,6 +13,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .chambers import Chamber, all_chambers, ray_from_index
+# the weight boxes and their functionals are defined once, with the oracle's
+# gl arrangement, and re-exported here under the same names
+from .oracle.arrangement import WeightIndex, weight_functional, weight_indices
+from .oracle.linalg import kernel_basis
 from .poset import (
     INF,
     Chain,
@@ -23,24 +27,6 @@ from .poset import (
     is_chain,
     sort_key,
 )
-
-WeightIndex = tuple[int, int]
-
-
-def weight_indices(n: int) -> list[WeightIndex]:
-    """All boxes (i, j) with 1 <= i <= j <= n, row-major."""
-    return [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-
-
-def weight_functional(n: int, idx: WeightIndex) -> tuple[int, ...]:
-    """Coefficients of x_i + x_j (the diagonal gives 2 x_i, same zero set)."""
-    i, j = idx
-    if not 1 <= i <= j <= n:
-        raise ValueError(f"bad weight index {idx} for rank {n}")
-    coeffs = [0] * n
-    coeffs[i - 1] += 1
-    coeffs[j - 1] += 1
-    return tuple(coeffs)
 
 
 def evaluate_weight(idx: WeightIndex, x: Sequence) -> Fraction:
@@ -100,9 +86,6 @@ def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
 
 def _nonneg_combination(gens, target):
     """Exact coefficients t >= 0 with sum t_c * gens[c] = target, else None."""
-    # imported here because the oracle package imports this module
-    from .oracle.linalg import kernel_basis
-
     k = len(gens)
     augmented = [[g[r] for g in gens] + [-target[r]] for r in range(len(target))]
     # t is read off the kernel vector whose free column is the target column,

@@ -5,6 +5,7 @@ coordinates: no chains, ensembles, tableaux or other combinatorial models are
 consulted, so its outputs can arbitrate the combinatorial layers.
 """
 
+from .arrangement import Arrangement, gl_arrangement
 from .cells import (
     CapExceeded,
     CellEnumeration,
@@ -14,7 +15,7 @@ from .cells import (
     enumerate_cells,
     rays_geometric,
 )
-from .flats import FlatEnumeration, enumerate_flats_geometric
+from .flats import FlatEnumeration, enumerate_flats_geometric, enumerate_generic_flats
 from .weightsystems import (
     WeightSystem,
     chamber_cell_counts,
@@ -24,6 +25,7 @@ from .weightsystems import (
 )
 
 __all__ = [
+    "Arrangement",
     "CapExceeded",
     "CellEnumeration",
     "FlatEnumeration",
@@ -35,6 +37,8 @@ __all__ = [
     "check_weights_proportional_to_roots",
     "enumerate_cells",
     "enumerate_flats_geometric",
+    "enumerate_generic_flats",
+    "gl_arrangement",
     "rays_geometric",
     "simplex_counts",
     "weight_system",

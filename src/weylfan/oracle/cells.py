@@ -1,21 +1,21 @@
 """Cell enumeration by exact sign-vector search.
 
-Cells are the relatively open strata of the chamber cone under all weight
-hyperplanes: one sign in {-,0,+} per weight box, one in {0,+} per
-consecutive-difference facet.  The search walks sign prefixes depth first
-and prunes with a strict-feasibility LP; a parent's witness settles the
-child that shares its sign without any LP call.
+Cells are the relatively open strata of an arrangement's cone under all its
+cuts: one sign in {-,0,+} per cut, one in {0,+} per wall.  For gl_n the cuts
+are the weight boxes and the walls the consecutive differences.  The search
+walks sign prefixes depth first and prunes with a strict-feasibility LP; a
+parent's witness settles the child that shares its sign without any LP call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..incidence import weight_functional, weight_indices
+from .arrangement import Arrangement, gl_arrangement
 from .linalg import dot, integer_row, rank_of
-from .simplex import strict_feasible
+from .simplex import CertificateError, strict_feasible
 
 N1_NOTE = (
     "rank 1 note: the chamber cone has no facet constraints, so it is the "
@@ -66,16 +66,6 @@ class CellEnumeration:
     stats: dict = field(default_factory=dict)
 
 
-def _root_rows(n: int) -> list[tuple[int, ...]]:
-    rows = []
-    for i in range(n - 1):
-        row = [0] * n
-        row[i] = 1
-        row[i + 1] = -1
-        rows.append(tuple(row))
-    return rows
-
-
 def _split_rows(cut_rows, facet_rows, cut_signs, facet_signs):
     eq, strict = [], []
     for row, s in zip(cut_rows, cut_signs):
@@ -92,36 +82,25 @@ def _split_rows(cut_rows, facet_rows, cut_signs, facet_signs):
 
 def cell_feasible(n: int, condition: SignCondition, *, stats=None):
     """Decide one sign condition; returns (feasible, witness-or-None)."""
-    cut_rows = [weight_functional(n, idx) for idx in weight_indices(n)]
+    if condition.n != n:
+        raise ValueError(f"a rank-{condition.n} sign condition at rank {n}")
+    arr = gl_arrangement(n)
     eq, strict = _split_rows(
-        cut_rows, _root_rows(n), condition.weight_signs, condition.root_signs
+        arr.cuts, arr.walls, condition.weight_signs, condition.root_signs
     )
     witness = strict_feasible(eq, strict, [], n, stats=stats)
     return witness is not None, witness
 
 
-def _cell_dim(dim, cut_rows, facet_rows, ambient_eqs, cut_signs, facet_signs) -> int:
-    tight = list(ambient_eqs)
-    tight += [row for row, s in zip(cut_rows, cut_signs) if s == 0]
-    tight += [row for row, s in zip(facet_rows, facet_signs) if s == 0]
-    return dim - rank_of(tight)
-
-
-def enumerate_generic_cells(
-    dim: int,
-    cut_rows: Sequence[Sequence],
-    facet_rows: Sequence[Sequence],
-    *,
-    ambient_eqs: Sequence[Sequence] = (),
-    stats: Optional[dict] = None,
-):
-    """All feasible sign vectors over arbitrary cuts and facets.
+def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
+    """All feasible sign vectors of an arrangement's cuts and walls.
 
     Returns (cells, counts) where each cell is (cut_signs, facet_signs,
     cell_dim, witness), in depth-first order.
     """
     if stats is None:
         stats = {}
+    dim, cut_rows, facet_rows = arr.dim, arr.cuts, arr.walls
     n_cuts = len(cut_rows)
     n_slots = n_cuts + len(facet_rows)
 
@@ -129,7 +108,7 @@ def enumerate_generic_cells(
         cut_signs = signs[:n_cuts]
         facet_signs = signs[n_cuts:]
         eq, strict = _split_rows(cut_rows, facet_rows, cut_signs, facet_signs)
-        eq = list(ambient_eqs) + eq
+        eq = list(arr.ambient_eqs) + eq
         # unassigned facet slots still confine the point to the closed cone
         weak = list(facet_rows[len(facet_signs):])
         return eq, strict, weak
@@ -159,9 +138,8 @@ def enumerate_generic_cells(
         if len(signs) == n_slots:
             cut_signs = tuple(signs[:n_cuts])
             facet_signs = tuple(signs[n_cuts:])
-            d = _cell_dim(
-                dim, cut_rows, facet_rows, ambient_eqs, cut_signs, facet_signs
-            )
+            eq, _ = _split_rows(cut_rows, facet_rows, cut_signs, facet_signs)
+            d = dim - rank_of(list(arr.ambient_eqs) + eq)
             out.append((cut_signs, facet_signs, d, found and found[0]))
             return
         for s in branches(len(signs)):
@@ -188,8 +166,7 @@ def enumerate_cells(n: int, *, cap: int = 5) -> CellEnumeration:
             f"= {space} sign space; the configured cap is {cap}"
         )
     stats: dict = {}
-    cut_rows = [weight_functional(n, idx) for idx in weight_indices(n)]
-    raw, counts = enumerate_generic_cells(n, cut_rows, _root_rows(n), stats=stats)
+    raw, counts = enumerate_generic_cells(gl_arrangement(n), stats=stats)
     cells = [
         Cell(SignCondition(n, cut_signs, facet_signs), d, witness)
         for cut_signs, facet_signs, d, witness in raw
@@ -214,7 +191,7 @@ def rays_geometric(n: int, *, cap: int = 5, cells=None):
         scale = max(abs(v) for v in cell.witness)
         vec = tuple(v / scale for v in cell.witness)
         if any(v not in (-1, 0, 1) for v in vec):
-            raise AssertionError(f"1-cell witness {cell.witness} is not a lattice ray")
+            raise CertificateError(f"1-cell witness {cell.witness} is not a lattice ray")
         rays.append(vec)
     return sorted(rays, reverse=True)
 

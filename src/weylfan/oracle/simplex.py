@@ -39,10 +39,10 @@ class CertificateError(RuntimeError):
 def simplex_max(rows, rhs, objective, basis, *, stats=None):
     """Maximize objective over {rows . x = rhs, x >= 0}.
 
-    basis must name one column per row, with a positive entry in its own row
-    and zeros in every other row (not necessarily 1), and rhs >= 0: an
-    all-slack start in every use below.  Returns the optimal value and the
-    primal solution.
+    rows and rhs are ints; the objective may hold Fractions.  basis must name
+    one column per row, with a positive entry in its own row and zeros in
+    every other row (not necessarily 1), and rhs >= 0: an all-slack start in
+    every use below.  Returns the optimal value and the primal solution.
 
     The objective row carries its own positive scale in column ncols, which
     never enters the basis; the right-hand side is the last column.  Every
@@ -51,7 +51,7 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
     tableau.
     """
     ncols = len(objective)
-    tab = [integer_row([*row, 0, b]) for row, b in zip(rows, rhs)]
+    tab = [[*row, 0, b] for row, b in zip(rows, rhs)]
     z = integer_row([*(-c for c in objective), 1, 0])
     basis = list(basis)
     for r, col in enumerate(basis):
@@ -131,6 +131,19 @@ def _kernel_point(solution, basis_vecs, big, mult, dim):
     return tuple(Fraction(v, den * big) for v in ints), ints
 
 
+def _project(rows, basis_vecs, mult):
+    """Each row's products with the int columns, the row first scaled by the
+    lcm c > 0 of its denominators, paired with c.  A tableau row built from
+    them, every other entry times c too, is int and stands for the same
+    constraint."""
+    out = []
+    for row in rows:
+        c = lcm(*(v.denominator for v in row))
+        ints = [int(v * c) for v in row]
+        out.append(([dot(ints, b) * m for b, m in zip(basis_vecs, mult)], c))
+    return out
+
+
 def strict_feasible(
     eq_rows: Sequence[Sequence],
     strict_rows: Sequence[Sequence],
@@ -153,45 +166,39 @@ def strict_feasible(
         # the origin is the only point, and no strict row is positive there
         return None if strict_rows else zero
     big, mult = _columns(basis_vecs)
-    strict_proj = [[dot(row, b) * m for b, m in zip(basis_vecs, mult)] for row in strict_rows]
-    if any(all(v == 0 for v in row) for row in strict_proj):
+    strict_proj = _project(strict_rows, basis_vecs, mult)
+    if any(all(v == 0 for v in row) for row, _ in strict_proj):
         return None
     if not strict_rows:
         return zero  # kernel point; every weak row vanishes there
-    weak_proj = [[dot(row, b) * m for b, m in zip(basis_vecs, mult)] for row in weak_rows]
+    weak_proj = _project(weak_rows, basis_vecs, mult)
     # columns: p (d), q (d), margin, one slack per row below; every row is
-    # L times its rational counterpart
+    # L times c times its rational counterpart
     n_strict = len(strict_proj)
     n_weak = len(weak_proj)
     n_box = 2 * dim
     ncols = 2 * d + 1 + n_strict + n_weak + n_box
     margin_col = 2 * d
-    rows = []
-    rhs = []
-    basis = []
+    rows, rhs, basis = [], [], []
     slack = margin_col + 1
 
-    def with_slack(body, value):
+    def with_slack(body, value, c=1):
         nonlocal slack
         row = body + [0] * (ncols - margin_col - 1)
-        row[slack] = big
+        row[slack] = c * big
         rows.append(row)
         rhs.append(value)
         basis.append(slack)
         slack += 1
 
-    for srow in strict_proj:
-        body = [-v for v in srow] + [v for v in srow] + [big]
-        with_slack(body, 0)
-    for wrow in weak_proj:
-        body = [-v for v in wrow] + [v for v in wrow] + [0]
-        with_slack(body, 0)
+    for srow, c in strict_proj:
+        with_slack([-v for v in srow] + srow + [c * big], 0, c)
+    for wrow, c in weak_proj:
+        with_slack([-v for v in wrow] + wrow + [0], 0, c)
     for i in range(dim):
         coord = [b[i] * m for b, m in zip(basis_vecs, mult)]
-        body = [v for v in coord] + [-v for v in coord] + [0]
-        with_slack(body, big)
-        body = [-v for v in coord] + [v for v in coord] + [0]
-        with_slack(body, big)
+        with_slack(coord + [-v for v in coord] + [0], big)
+        with_slack([-v for v in coord] + coord + [0], big)
     objective = [0] * ncols
     objective[margin_col] = 1
     value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
@@ -210,11 +217,12 @@ def strict_feasible(
 def cone_positive(
     eq_rows: Sequence[Sequence],
     functional: Sequence,
+    weak_rows: Sequence[Sequence],
     dim: int,
     *,
     stats=None,
 ) -> Optional[tuple[Fraction, ...]]:
-    """A point of {r >= 0, eq . r = 0} with functional . r > 0, or None."""
+    """A point of {eq = 0, weak >= 0} with functional > 0, or None."""
     if stats is not None:
         stats["lp_calls"] = stats.get("lp_calls", 0) + 1
     basis_vecs = kernel_basis(eq_rows, dim)
@@ -222,36 +230,34 @@ def cone_positive(
     if d == 0:
         return None
     big, mult = _columns(basis_vecs)
-    g = [dot(functional, b) * m for b, m in zip(basis_vecs, mult)]
+    [(g, gc)] = _project([functional], basis_vecs, mult)
     if all(v == 0 for v in g):
         return None
-    # columns: p, q, then a slack per coordinate row and one for the cap;
-    # every row, and the objective, is L times its rational counterpart
-    ncols = 2 * d + dim + 1
-    rows = []
-    rhs = []
-    basis = []
-    for i in range(dim):
-        coord = [b[i] * m for b, m in zip(basis_vecs, mult)]
-        row = [-v for v in coord] + [v for v in coord] + [0] * (dim + 1)
-        row[2 * d + i] = big
+    # columns: p, q, then a slack per weak row and one for the cap; every
+    # row is L times c times its rational counterpart, the objective L * gc
+    n_weak = len(weak_rows)
+    ncols = 2 * d + n_weak + 1
+    rows, rhs, basis = [], [], []
+    for i, (wrow, c) in enumerate(_project(weak_rows, basis_vecs, mult)):
+        row = [-v for v in wrow] + wrow + [0] * (n_weak + 1)
+        row[2 * d + i] = c * big
         rows.append(row)
         rhs.append(0)
         basis.append(2 * d + i)
-    cap = [v for v in g] + [-v for v in g] + [0] * (dim + 1)
-    cap[2 * d + dim] = big
+    objective = g + [-v for v in g] + [0] * (n_weak + 1)
+    cap = list(objective)
+    cap[2 * d + n_weak] = gc * big
     rows.append(cap)
-    rhs.append(big)
-    basis.append(2 * d + dim)
-    objective = [v for v in g] + [-v for v in g] + [0] * (dim + 1)
+    rhs.append(gc * big)
+    basis.append(2 * d + n_weak)
     value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
     if value <= 0:
         return None
     point, scaled = _kernel_point(solution, basis_vecs, big, mult, dim)
     if (
-        any(v < 0 for v in scaled)
+        any(dot(row, scaled) != 0 for row in eq_rows)
+        or any(dot(row, scaled) < 0 for row in weak_rows)
         or dot(functional, scaled) <= 0
-        or any(dot(row, scaled) != 0 for row in eq_rows)
     ):
         raise CertificateError(f"point {point} is not a positive cone point")
     return point

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import comb, gcd, lcm
 from typing import Optional
 
+from .arrangement import Arrangement, difference_walls
 from .cells import enumerate_generic_cells
 
 TAG_SO_ODD_V = "so_{2n+1}:V"
@@ -80,27 +82,29 @@ def _cn_roots(n: int) -> tuple[Vector, ...]:
     return tuple(roots)
 
 
+def _halves() -> list[Vector]:
+    """(+-1/2, +-1/2, +-1/2, +-1/2), every choice of signs."""
+    return [tuple(Fraction(s, 2) for s in signs) for signs in product((1, -1), repeat=4)]
+
+
+def _differences(n: int) -> list[Vector]:
+    """e_i - e_j for every ordered pair i != j."""
+    return [
+        tuple(Fraction((c == i) - (c == j)) for c in range(n))
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    ]
+
+
 def _f4_roots() -> tuple[Vector, ...]:
     roots = [_unit(4, i, s) for i in range(4) for s in (1, -1)]
     roots += list(_pm_pairs(4))
-    half = Fraction(1, 2)
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                for s4 in (1, -1):
-                    roots.append((s1 * half, s2 * half, s3 * half, s4 * half))
-    return tuple(roots)
+    return tuple(roots + _halves())
 
 
 def _g2_roots() -> tuple[Vector, ...]:
-    roots = []
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                vec = [Fraction(0)] * 3
-                vec[i] = Fraction(1)
-                vec[j] = Fraction(-1)
-                roots.append(tuple(vec))
+    roots = _differences(3)
     for i in range(3):
         vec = [Fraction(-1)] * 3
         vec[i] = Fraction(2)
@@ -110,24 +114,7 @@ def _g2_roots() -> tuple[Vector, ...]:
 
 
 def _bc_chamber(n: int) -> tuple[Vector, ...]:
-    facets = []
-    for i in range(n - 1):
-        vec = [Fraction(0)] * n
-        vec[i] = Fraction(1)
-        vec[i + 1] = Fraction(-1)
-        facets.append(tuple(vec))
-    facets.append(_unit(n, n - 1))
-    return tuple(facets)
-
-
-def _gl_chamber(n: int) -> tuple[Vector, ...]:
-    facets = []
-    for i in range(n - 1):
-        vec = [Fraction(0)] * n
-        vec[i] = Fraction(1)
-        vec[i + 1] = Fraction(-1)
-        facets.append(tuple(vec))
-    return tuple(facets)
+    return difference_walls(n) + (_unit(n, n - 1),)
 
 
 def _zero(n: int) -> Vector:
@@ -158,14 +145,7 @@ def weight_system(tag: str, n: Optional[int] = None) -> WeightSystem:
         )
     if tag == TAG_F4:
         half = Fraction(1, 2)
-        weights = [_unit(4, i, s) for i in range(4) for s in (1, -1)]
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    for s4 in (1, -1):
-                        weights.append(
-                            (s1 * half, s2 * half, s3 * half, s4 * half)
-                        )
+        weights = [_unit(4, i, s) for i in range(4) for s in (1, -1)] + _halves()
         weights += [_zero(4), _zero(4)]
         chamber = (
             _vec(0, 1, -1, 0),
@@ -175,15 +155,7 @@ def weight_system(tag: str, n: Optional[int] = None) -> WeightSystem:
         )
         return WeightSystem(tag, 4, 4, tuple(weights), _f4_roots(), chamber)
     if tag == TAG_G2:
-        weights = []
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    vec = [Fraction(0)] * 3
-                    vec[i] = Fraction(1)
-                    vec[j] = Fraction(-1)
-                    weights.append(tuple(vec))
-        weights.append(_zero(3))
+        weights = _differences(3) + [_zero(3)]
         chamber = (_vec(1, -1, 0), _vec(-2, 1, 1))
         return WeightSystem(
             tag,
@@ -202,15 +174,8 @@ def weight_system(tag: str, n: Optional[int] = None) -> WeightSystem:
                 vec[i] = Fraction(1)
                 vec[j] = Fraction(1)
                 weights.append(tuple(vec))
-        roots = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    vec = [Fraction(0)] * n
-                    vec[i] = Fraction(1)
-                    vec[j] = Fraction(-1)
-                    roots.append(tuple(vec))
-        return WeightSystem(tag, n, n, tuple(weights), tuple(roots), _gl_chamber(n))
+        roots = tuple(_differences(n))
+        return WeightSystem(tag, n, n, tuple(weights), roots, difference_walls(n))
     raise ValueError(f"unknown weight system tag {tag!r}")
 
 
@@ -304,15 +269,16 @@ def dedupe_hyperplanes(vectors) -> tuple[Vector, ...]:
     return tuple(seen)
 
 
+def system_arrangement(ws: WeightSystem) -> Arrangement:
+    """The distinct weight hyperplanes of a system on its dominant chamber."""
+    return Arrangement(
+        ws.ambient, dedupe_hyperplanes(ws.weights), ws.chamber_facets, ws.ambient_eqs
+    )
+
+
 def chamber_cell_counts(tag: str, n: Optional[int] = None):
     """Counts of chamber cells by dimension for a named system, from the
     generic sign search.  Meant for the small degenerate checks."""
     ws = weight_system(tag, n)
-    cuts = dedupe_hyperplanes(ws.weights)
-    _, counts = enumerate_generic_cells(
-        ws.ambient,
-        cuts,
-        ws.chamber_facets,
-        ambient_eqs=ws.ambient_eqs,
-    )
+    _, counts = enumerate_generic_cells(system_arrangement(ws))
     return counts[: ws.rank + 1]

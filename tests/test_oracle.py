@@ -1,17 +1,22 @@
+import ast
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import weylfan.oracle
 from weylfan import counting as ct
 from weylfan import incidence as inc
 from weylfan.chambers import ray_index
 from weylfan.oracle import (
+    Arrangement,
     CapExceeded,
     SignCondition,
     adjacency_from_cells,
@@ -20,12 +25,15 @@ from weylfan.oracle import (
     check_weights_proportional_to_roots,
     enumerate_cells,
     enumerate_flats_geometric,
+    enumerate_generic_flats,
+    gl_arrangement,
     rays_geometric,
     simplex_counts,
     weight_system,
 )
 from weylfan.oracle import weightsystems as wsys
-from weylfan.oracle import simplex
+from weylfan.oracle import arrangement, simplex
+from weylfan.oracle.cells import enumerate_generic_cells
 from weylfan.oracle.linalg import dot, kernel_basis, rank_of
 from weylfan.oracle.simplex import (
     CertificateError,
@@ -256,8 +264,13 @@ def bounded_programs(draw):
 @given(bounded_programs())
 def test_simplex_matches_the_fraction_tableau(program):
     rows, rhs, objective, basis = program
+    # simplex_max takes int rows: each row and its rhs times the lcm of the
+    # row's denominators, which the reference's normalization undoes
+    scales = [lcm(*(Fraction(v).denominator for v in row)) for row in rows]
+    int_rows = [[int(v * c) for v in row] for row, c in zip(rows, scales)]
+    int_rhs = [b * c for b, c in zip(rhs, scales)]
     ours, ref = {}, {}
-    assert simplex_max(rows, rhs, objective, basis, stats=ours) == reference_simplex_max(
+    assert simplex_max(int_rows, int_rhs, objective, basis, stats=ours) == reference_simplex_max(
         rows, rhs, objective, basis, stats=ref
     )
     assert ours.get("pivots", 0) == ref.get("pivots", 0)
@@ -307,14 +320,15 @@ def reference_strict_feasible(eq, strict, weak, dim, *, stats=None):
     return _reference_lp(basis, bodies, [0] * (2 * len(basis)) + [1], stats)
 
 
-def reference_cone_positive(eq, functional, dim, *, stats=None):
+def reference_cone_positive(eq, functional, weak, dim, *, stats=None):
     """cone_positive's LP as the rational tableau over the RREF kernel
-    vectors: r >= 0 and functional . r <= 1, maximize functional . r."""
+    vectors: weak . x >= 0 and functional . x <= 1, maximize functional . x."""
     _, basis = reference_rref(eq, dim)
     g = [dot(functional, b) for b in basis]
     if all(v == 0 for v in g):
         return None
-    bodies = [([-b[i] for b in basis] + [b[i] for b in basis], 0) for i in range(dim)]
+    wp = [[dot(r, b) for b in basis] for r in weak]
+    bodies = [([-v for v in r] + r, 0) for r in wp]
     bodies.append((g + [-v for v in g], 1))
     return _reference_lp(basis, bodies, g + [-v for v in g], stats)
 
@@ -325,21 +339,21 @@ def test_lp_witnesses_hold_and_match_the_reference(system):
     dim, eq, strict, weak, functional = system
     ours, ref = {}, {}
     witness = strict_feasible(eq, strict, weak, dim, stats=ours)
-    point = cone_positive(eq, functional, dim, stats=ours)
+    point = cone_positive(eq, functional, weak, dim, stats=ours)
     # the int columns are the rational tableau up to positive row scaling:
     # same witnesses, same pivots
     assert witness == reference_strict_feasible(eq, strict, weak, dim, stats=ref)
-    assert point == reference_cone_positive(eq, functional, dim, stats=ref)
+    assert point == reference_cone_positive(eq, functional, weak, dim, stats=ref)
     assert ours.get("pivots", 0) == ref.get("pivots", 0)
     with mock.patch.object(simplex, "simplex_max", reference_simplex_max):
         assert witness == strict_feasible(eq, strict, weak, dim)
-        assert point == cone_positive(eq, functional, dim)
+        assert point == cone_positive(eq, functional, weak, dim)
     if witness is not None:
         assert all(dot(r, witness) == 0 for r in eq)
         assert all(dot(r, witness) > 0 for r in strict)
         assert all(dot(r, witness) >= 0 for r in weak)
     if point is not None:
-        assert all(v >= 0 for v in point) and dot(functional, point) > 0
+        assert all(dot(r, point) >= 0 for r in weak) and dot(functional, point) > 0
         assert all(dot(r, point) == 0 for r in eq)
 
 
@@ -352,7 +366,15 @@ def test_witness_checks_reject_a_bogus_optimum(monkeypatch):
     with pytest.raises(CertificateError):
         simplex.strict_feasible([], [(1, 0)], [], 2)
     with pytest.raises(CertificateError):
-        simplex.cone_positive([], (1, 1), 2)
+        simplex.cone_positive([], (1, 1), [(1, 0), (0, 1)], 2)
+
+    # the point (1, 0): the functional is positive there, a weak row is not
+    def outside(rows, rhs, objective, basis, *, stats=None):
+        return Fraction(1), [Fraction(1)] + [Fraction(0)] * (len(objective) - 1)
+
+    monkeypatch.setattr(simplex, "simplex_max", outside)
+    with pytest.raises(CertificateError):
+        simplex.cone_positive([], (1, 1), [(-1, 0)], 2)
 
 
 def test_cell_feasible_examples():
@@ -366,6 +388,9 @@ def test_cell_feasible_examples():
             assert not feasible
     feasible, witness = cell_feasible(2, SignCondition(2, (0, 0, 0), (0,)))
     assert feasible and witness == (0, 0)
+    # a condition of another rank is refused, not answered for a truncated system
+    with pytest.raises(ValueError):
+        cell_feasible(3, SignCondition(2, (1, 1, 1), (1,)))
 
 
 def test_sign_condition_validation():
@@ -437,11 +462,11 @@ PINNED_CELLS = {
 }
 PINNED_FLATS = {
     4: (
-        {"lp_calls": 287, "pivots": 318, "flats": 34, "closures": 187},
+        {"lp_calls": 287, "pivots": 393, "flats": 34, "closures": 187},
         "8ac8037f6a8ecfa2575265236d1797a92d2d61dc7ca90628473731e8023b11d1",
     ),
     5: (
-        {"lp_calls": 1865, "pivots": 2377, "flats": 89, "closures": 834},
+        {"lp_calls": 1865, "pivots": 2940, "flats": 89, "closures": 834},
         "03577b47b50a2506374ae45dca672fb80392b717493372df0ab5457fb116a5a2",
     ),
 }
@@ -496,6 +521,15 @@ def test_rays_geometric_small():
             assert all(v in (-1, 0, 1) for v in r)
 
 
+def test_rays_geometric_rejects_a_non_lattice_witness():
+    cells = enumerate_cells(2)
+    pos = next(i for i, c in enumerate(cells.cells) if c.dim == 1)
+    bad = (Fraction(1), Fraction(1, 2))
+    cells.cells[pos] = dataclasses.replace(cells.cells[pos], witness=bad)
+    with pytest.raises(CertificateError):
+        rays_geometric(2, cells=cells)
+
+
 def test_flats_golden_rows():
     for n in range(1, 5):
         enum = enumerate_flats_geometric(n)
@@ -525,6 +559,71 @@ def test_flats_cross_check_with_ensembles():
             for e in enumerate_ensembles(n, k)
         }
         assert realized == expected
+
+
+def _flats_from_cells(arr):
+    """Flats read off the cells: the cuts that vanish on a cell are a flat's
+    tight set, and the flat's dimension is the largest of such a cell."""
+    cells, _ = enumerate_generic_cells(arr)
+    dims = {}
+    for cut_signs, _, dim, _ in cells:
+        zeros = frozenset(c for c, s in enumerate(cut_signs) if s == 0)
+        dims[zeros] = max(dim, dims.get(zeros, dim))
+    return dims
+
+
+_TAG_IDS = {getattr(wsys, name): name[4:].lower() for name in dir(wsys) if name.startswith("TAG_")}
+_ARRANGEMENTS = (
+    [(None, n) for n in range(1, 5)]
+    + [(tag, n) for tag in wsys.TAGS if tag not in (wsys.TAG_F4, wsys.TAG_G2) for n in (2, 3)]
+    + [(wsys.TAG_F4, None), (wsys.TAG_G2, None)]
+)
+
+
+@pytest.mark.parametrize(
+    "tag, n",
+    _ARRANGEMENTS,
+    ids=[_TAG_IDS.get(tag, "gl_arrangement") + (f"-{n}" if n else "") for tag, n in _ARRANGEMENTS],
+)
+def test_flats_match_the_cells_of_the_same_arrangement(tag, n):
+    if tag is None:
+        arr = gl_arrangement(n)
+    else:
+        arr = wsys.system_arrangement(weight_system(tag, n))
+    flats, counts = enumerate_generic_flats(arr)
+    assert dict(flats) == _flats_from_cells(arr)
+    assert sum(counts) == len(flats)
+
+
+def test_arrangement_rows_have_the_ambient_length():
+    arr = Arrangement(2, [[1, 1]], [(1, -1)])
+    assert arr.cuts == ((1, 1),) and arr.ambient_eqs == ()
+    for bad in ({"cuts": [(1, 0, 0)]}, {"walls": [(1,)]}, {"ambient_eqs": [()]}):
+        rows = {"cuts": [(1, 1)], "walls": [(1, -1)], **bad}
+        with pytest.raises(ValueError):
+            Arrangement(2, **rows)
+    # the weight boxes are defined once, with the gl arrangement
+    assert inc.weight_indices is arrangement.weight_indices
+    assert gl_arrangement(2).cuts == tuple(inc.weight_functional(2, i) for i in inc.weight_indices(2))
+
+
+def test_oracle_imports_no_combinatorial_model():
+    # the oracle arbitrates the combinatorial layers, so it must not use them
+    banned = {"incidence", "poset", "chambers"}
+    found = []
+    for path in sorted(Path(weylfan.oracle.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = (node.module or "").split(".")
+                names = [".".join(base + [alias.name]) for alias in node.names]
+            else:
+                continue
+            for name in names:
+                if banned & set(name.split(".")):
+                    found.append(f"{path.name}:{node.lineno} imports {name}")
+    assert found == []
 
 
 def test_geometric_adjacency_matches_combinatorial():
