@@ -11,7 +11,7 @@ depends on the clock goes to stderr.  Exit codes: 0 success, 2 usage or
 refused request, 3 a cross-check disagreed, 4 output could not be written.
 
 The oracle caps are a flag, then a ``WEYLFAN_ORACLE_CAP_*`` environment
-variable, then the default (cells 4, flats 6); they are read only by the
+variable, then the default (cells 5, flats 6); they are read only by the
 commands that run the oracle.
 """
 
@@ -204,11 +204,6 @@ def _point_pair(p) -> list[int]:
 def _interval_json(iv) -> list:
     hi = None if iv.hi is INF else _point_pair(iv.hi)
     return [_point_pair(iv.lo), hi]
-
-
-def _interval_text(iv) -> str:
-    hi = "inf" if iv.hi is INF else f"({iv.hi.a},{iv.hi.b})"
-    return f"({iv.lo.a},{iv.lo.b})..{hi}"
 
 
 def _chamber_records(n):

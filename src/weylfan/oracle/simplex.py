@@ -3,18 +3,20 @@ actually asks: strict feasibility of a sign system, and whether a functional
 can be made positive on a cone.
 
 Strict inequalities are handled the standard way: maximize a single margin
-variable subject to every strict constraint shifted by it, inside the
-normalization box |x_i| <= 1; the open set is non-empty iff the optimum is
-positive.  Pivoting is greedy while it makes progress and switches to Bland's
-rule through degenerate stretches, which guarantees termination.
+variable t subject to every strict constraint shifted by it and to the cap
+t <= 1; the open set is non-empty iff the optimum is positive.  With exactly
+one strict row there is no margin column: the row is itself the objective,
+capped at row . x <= 1.  Pivoting is greedy while it makes progress and
+switches to Bland's rule through degenerate stretches, which guarantees
+termination.
 
 The tableau is exact and fraction-free: its rows are integer rows that stand
 for their positive multiples, and a pivot is one `linalg.eliminate` step per
-row, the same step that computes ranks and kernels.  The two questions build
-their tableaux from the primitive int kernel vectors of `kernel_basis`, each
-row L times the row of the rational tableau over the RREF kernel vectors, so
-they pivot exactly as that tableau does.  Values, solutions and witnesses are
-read back as Fractions.
+row, the same step that computes ranks and kernels.  Both questions share
+one tableau, built from the primitive int kernel vectors of `kernel_basis`,
+each row L times the row of the rational tableau over the RREF kernel
+vectors, so it pivots exactly as that tableau does.  Values, solutions and
+witnesses are read back as Fractions.
 """
 
 from __future__ import annotations
@@ -144,19 +146,9 @@ def _project(rows, basis_vecs, mult):
     return out
 
 
-def strict_feasible(
-    eq_rows: Sequence[Sequence],
-    strict_rows: Sequence[Sequence],
-    weak_rows: Sequence[Sequence],
-    dim: int,
-    *,
-    stats=None,
-) -> Optional[tuple[Fraction, ...]]:
-    """Interior witness of {eq = 0, strict > 0, weak >= 0}, or None.
-
-    Equalities are eliminated through their kernel, the rest is the margin
-    LP described in the module docstring.
-    """
+def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
+    """Witness of {eq = 0, strict > 0, weak >= 0}, or None: the margin LP
+    described in the module docstring, over the kernel of the equalities."""
     if stats is not None:
         stats["lp_calls"] = stats.get("lp_calls", 0) + 1
     basis_vecs = kernel_basis(eq_rows, dim)
@@ -171,36 +163,27 @@ def strict_feasible(
         return None
     if not strict_rows:
         return zero  # kernel point; every weak row vanishes there
+    if len(strict_proj) == 1:
+        # the strict row is the objective and its own cap: no margin column
+        [(g, c)] = strict_proj
+        head, shifted = g + [-v for v in g], []
+    else:
+        head, c, shifted = [0] * (2 * d) + [big], 1, strict_proj
+    # columns: p (d), q (d), the margin if any, then one slack per row: the
+    # strict rows shifted by the margin, the weak rows and the cap, each as
+    # (body, c, rhs); every row is L times c times its rational counterpart
     weak_proj = _project(weak_rows, basis_vecs, mult)
-    # columns: p (d), q (d), margin, one slack per row below; every row is
-    # L times c times its rational counterpart
-    n_strict = len(strict_proj)
-    n_weak = len(weak_proj)
-    n_box = 2 * dim
-    ncols = 2 * d + 1 + n_strict + n_weak + n_box
-    margin_col = 2 * d
-    rows, rhs, basis = [], [], []
-    slack = margin_col + 1
-
-    def with_slack(body, value, c=1):
-        nonlocal slack
-        row = body + [0] * (ncols - margin_col - 1)
-        row[slack] = c * big
-        rows.append(row)
-        rhs.append(value)
-        basis.append(slack)
-        slack += 1
-
-    for srow, c in strict_proj:
-        with_slack([-v for v in srow] + srow + [c * big], 0, c)
-    for wrow, c in weak_proj:
-        with_slack([-v for v in wrow] + wrow + [0], 0, c)
-    for i in range(dim):
-        coord = [b[i] * m for b, m in zip(basis_vecs, mult)]
-        with_slack(coord + [-v for v in coord] + [0], big)
-        with_slack([-v for v in coord] + coord + [0], big)
-    objective = [0] * ncols
-    objective[margin_col] = 1
+    lhs = [([-v for v in r] + r + [rc * big], rc, 0) for r, rc in shifted]
+    lhs += [([-v for v in r] + r, rc, 0) for r, rc in weak_proj]
+    lhs.append((head, c, c * big))
+    ncols = len(head) + len(lhs)
+    rows = []
+    for slack, (body, rc, _) in enumerate(lhs, start=len(head)):
+        rows.append(body + [0] * (ncols - len(body)))
+        rows[-1][slack] = rc * big
+    rhs = [value for _, _, value in lhs]
+    basis = list(range(len(head), ncols))
+    objective = head + [0] * len(lhs)
     value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
     if value <= 0:
         return None
@@ -214,6 +197,18 @@ def strict_feasible(
     return witness
 
 
+def strict_feasible(
+    eq_rows: Sequence[Sequence],
+    strict_rows: Sequence[Sequence],
+    weak_rows: Sequence[Sequence],
+    dim: int,
+    *,
+    stats=None,
+) -> Optional[tuple[Fraction, ...]]:
+    """Interior witness of {eq = 0, strict > 0, weak >= 0}, or None."""
+    return _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats)
+
+
 def cone_positive(
     eq_rows: Sequence[Sequence],
     functional: Sequence,
@@ -223,41 +218,4 @@ def cone_positive(
     stats=None,
 ) -> Optional[tuple[Fraction, ...]]:
     """A point of {eq = 0, weak >= 0} with functional > 0, or None."""
-    if stats is not None:
-        stats["lp_calls"] = stats.get("lp_calls", 0) + 1
-    basis_vecs = kernel_basis(eq_rows, dim)
-    d = len(basis_vecs)
-    if d == 0:
-        return None
-    big, mult = _columns(basis_vecs)
-    [(g, gc)] = _project([functional], basis_vecs, mult)
-    if all(v == 0 for v in g):
-        return None
-    # columns: p, q, then a slack per weak row and one for the cap; every
-    # row is L times c times its rational counterpart, the objective L * gc
-    n_weak = len(weak_rows)
-    ncols = 2 * d + n_weak + 1
-    rows, rhs, basis = [], [], []
-    for i, (wrow, c) in enumerate(_project(weak_rows, basis_vecs, mult)):
-        row = [-v for v in wrow] + wrow + [0] * (n_weak + 1)
-        row[2 * d + i] = c * big
-        rows.append(row)
-        rhs.append(0)
-        basis.append(2 * d + i)
-    objective = g + [-v for v in g] + [0] * (n_weak + 1)
-    cap = list(objective)
-    cap[2 * d + n_weak] = gc * big
-    rows.append(cap)
-    rhs.append(gc * big)
-    basis.append(2 * d + n_weak)
-    value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
-    if value <= 0:
-        return None
-    point, scaled = _kernel_point(solution, basis_vecs, big, mult, dim)
-    if (
-        any(dot(row, scaled) != 0 for row in eq_rows)
-        or any(dot(row, scaled) < 0 for row in weak_rows)
-        or dot(functional, scaled) <= 0
-    ):
-        raise CertificateError(f"point {point} is not a positive cone point")
-    return point
+    return _margin_lp(eq_rows, [functional], weak_rows, dim, stats)

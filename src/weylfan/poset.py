@@ -171,22 +171,30 @@ def enumerate_chains(n: int, k: int) -> Iterator[Chain]:
     if k < 0 or k > n:
         return
     pts = all_points(n)
-
-    def extend(prefix: list[PosetPoint], start: int) -> Iterator[Chain]:
+    prefix: list[PosetPoint] = []
+    # an explicit stack, so a chain may be longer than the recursion limit:
+    # per open depth (one more than the prefix), the next index of pts to try
+    nexts = [0]
+    while nexts:
         if len(prefix) == k:
             yield tuple(prefix)
-            return
-        # Levels still available must suffice to finish the chain.
-        for idx in range(start, len(pts)):
-            p = pts[idx]
-            if n - p.level < k - len(prefix) - 1:
-                continue
-            if not prefix or prefix[-1] < p:
-                prefix.append(p)
-                yield from extend(prefix, idx + 1)
+            idx = len(pts)
+        else:
+            idx = nexts[-1]
+            # Levels still available must suffice to finish the chain.
+            need = k - len(prefix) - 1
+            while idx < len(pts) and (
+                n - pts[idx].level < need or (prefix and not prefix[-1] < pts[idx])
+            ):
+                idx += 1
+        if idx == len(pts):
+            nexts.pop()
+            if prefix:
                 prefix.pop()
-
-    yield from extend([], 0)
+        else:
+            nexts[-1] = idx + 1
+            prefix.append(pts[idx])
+            nexts.append(idx + 1)
 
 
 @lru_cache(maxsize=None)

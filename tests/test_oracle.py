@@ -302,8 +302,9 @@ def _reference_lp(basis, bodies, objective, stats):
 
 
 def reference_strict_feasible(eq, strict, weak, dim, *, stats=None):
-    """strict_feasible's margin LP as the rational tableau over the RREF
-    kernel vectors: margin and slacks 1, box |x_i| <= 1."""
+    """The margin LP as the rational tableau over the RREF kernel vectors,
+    unit slacks: maximize t subject to t <= strict . x, weak . x >= 0 and the
+    cap t <= 1.  A single strict row is the objective and the cap itself."""
     _, basis = reference_rref(eq, dim)
     if not basis:
         return None if strict else (0,) * dim
@@ -312,29 +313,27 @@ def reference_strict_feasible(eq, strict, weak, dim, *, stats=None):
         return None
     if not strict:
         return (0,) * dim
-    bodies = [([-v for v in r] + r + [1], 0) for r in sp]
-    bodies += [([-v for v in r] + r + [0], 0) for r in wp]
-    for i in range(dim):
-        c = [b[i] for b in basis]
-        bodies += [(c + [-v for v in c] + [0], 1), ([-v for v in c] + c + [0], 1)]
-    return _reference_lp(basis, bodies, [0] * (2 * len(basis)) + [1], stats)
+    if len(sp) == 1:
+        head, shifted = sp[0] + [-v for v in sp[0]], []
+    else:
+        head, shifted = [0] * (2 * len(basis)) + [1], sp
+    pad = [0] * (len(head) - 2 * len(basis))
+    bodies = [([-v for v in r] + r + [1], 0) for r in shifted]
+    bodies += [([-v for v in r] + r + pad, 0) for r in wp]
+    bodies.append((head, 1))
+    return _reference_lp(basis, bodies, head, stats)
 
 
 def reference_cone_positive(eq, functional, weak, dim, *, stats=None):
-    """cone_positive's LP as the rational tableau over the RREF kernel
-    vectors: weak . x >= 0 and functional . x <= 1, maximize functional . x."""
-    _, basis = reference_rref(eq, dim)
-    g = [dot(functional, b) for b in basis]
-    if all(v == 0 for v in g):
-        return None
-    wp = [[dot(r, b) for b in basis] for r in weak]
-    bodies = [([-v for v in r] + r, 0) for r in wp]
-    bodies.append((g + [-v for v in g], 1))
-    return _reference_lp(basis, bodies, g + [-v for v in g], stats)
+    """cone_positive is the margin LP with the functional as its one strict
+    row: weak . x >= 0 and functional . x <= 1, maximize functional . x."""
+    return reference_strict_feasible(eq, [functional], weak, dim, stats=stats)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(sign_systems())
+# L = 2 with two strict rows: the cap's margin coefficient must be L too
+@example((3, [(2, -1, 0)], [(1, 0, 0), (0, 0, 1)], [(0, 1, 0)], (1, 0, 0)))
 def test_lp_witnesses_hold_and_match_the_reference(system):
     dim, eq, strict, weak, functional = system
     ours, ref = {}, {}
@@ -345,6 +344,12 @@ def test_lp_witnesses_hold_and_match_the_reference(system):
     assert witness == reference_strict_feasible(eq, strict, weak, dim, stats=ref)
     assert point == reference_cone_positive(eq, functional, weak, dim, stats=ref)
     assert ours.get("pivots", 0) == ref.get("pivots", 0)
+    # one LP behind both questions: a functional is one strict row
+    cone, single = {}, {}
+    assert cone_positive(eq, functional, weak, dim, stats=cone) == strict_feasible(
+        eq, [functional], weak, dim, stats=single
+    )
+    assert cone == single
     with mock.patch.object(simplex, "simplex_max", reference_simplex_max):
         assert witness == strict_feasible(eq, strict, weak, dim)
         assert point == cone_positive(eq, functional, weak, dim)
@@ -355,6 +360,30 @@ def test_lp_witnesses_hold_and_match_the_reference(system):
     if point is not None:
         assert all(dot(r, point) >= 0 for r in weak) and dot(functional, point) > 0
         assert all(dot(r, point) == 0 for r in eq)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(sign_systems())
+@example((2, [], [(1, 0), (0, 1)], [(1, -1)], (1, 1)))
+def test_margin_lp_has_no_box_rows(system):
+    # one tableau row per weak row, one per strict row shifted by the margin,
+    # and the cap; a single strict row is the cap itself
+    dim, eq, strict, weak, functional = system
+    seen = []
+
+    def recording(rows, rhs, objective, basis, *, stats=None):
+        seen.append(len(rows))
+        return simplex_max(rows, rhs, objective, basis, stats=stats)
+
+    with mock.patch.object(simplex, "simplex_max", recording):
+        for call, strict_rows in (
+            (lambda: strict_feasible(eq, strict, weak, dim), strict),
+            (lambda: cone_positive(eq, functional, weak, dim), [functional]),
+        ):
+            seen.clear()
+            call()
+            shifted = len(strict_rows) if len(strict_rows) > 1 else 0
+            assert seen in ([], [shifted + len(weak) + 1])
 
 
 def test_witness_checks_reject_a_bogus_optimum(monkeypatch):
@@ -452,12 +481,12 @@ def _sha256(records):
 # assembly that moves a pivot, a witness or a closure shows here
 PINNED_CELLS = {
     3: (
-        {"nodes": 162, "lp_calls": 162, "pivots": 470, "witness_hits": 104, "cells": 34},
-        "12f557030c19c38397cd6b1efa39fd4dbdd4003f83525cb1e83d65bcd0b5fee9",
+        {"nodes": 162, "lp_calls": 162, "pivots": 461, "witness_hits": 104, "cells": 34},
+        "352bba0456879c5d2c3ff66aff422d65a8e29809207b49d875a4662832901419",
     ),
     4: (
-        {"nodes": 746, "lp_calls": 746, "pivots": 3000, "witness_hits": 486, "cells": 116},
-        "47981f04b4e183dc1508495cbe3b35a89cb84415092a578e423c73d2ecd40daf",
+        {"nodes": 746, "lp_calls": 746, "pivots": 2988, "witness_hits": 486, "cells": 116},
+        "4f8f8935848a15822e1ada16eaffdfb261c7663e487594144332c3e4bdef6839",
     ),
 }
 PINNED_FLATS = {

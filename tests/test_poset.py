@@ -96,6 +96,12 @@ def test_chain_edge_cases():
     assert chain_count(3, 0) == 1 and chain_count(3, -1) == 0 and chain_count(3, 4) == 0
 
 
+def test_long_chain_needs_no_recursion():
+    # a chain of 1000 points is deeper than the default recursion limit
+    first = next(enumerate_chains(1000, 1000))
+    assert first == tuple(P(a, 0) for a in range(1, 1001))
+
+
 def _brute_chain_count(n, k):
     pts = all_points(n)
     if k == 0:
