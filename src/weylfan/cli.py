@@ -320,34 +320,29 @@ def _verify_tables() -> int:
     """Recompute both tables along every cheap path and report the bundled
     errata entries; any unexplained disagreement is an error."""
     top = 10
+    paths_by_table = {
+        "faces": {
+            "recurrence": ct.g_recurrence,
+            "linear recurrence": ct.g_linear_recurrence,
+            "series": ct.g_series(top).coeff,
+            "closed form": ct.g_closed_form,
+        },
+        "flats": {
+            "mutual recursion": ct.h_recurrence,
+            "linear recurrence": ct.h_linear_recurrence,
+            "series": ct.h_series(top).coeff,
+        },
+    }
     lines = []
-    for n in range(top + 1):
-        rows = {
-            "recurrence": [ct.g_recurrence(n, k) for k in range(n + 1)],
-            "linear recurrence": [ct.g_linear_recurrence(n, k) for k in range(n + 1)],
-            "series": [ct.g_series(top).coeff(n, k) for k in range(n + 1)],
-            "closed form": [ct.g_closed_form(n, k) for k in range(n + 1)],
-        }
-        if len({tuple(r) for r in rows.values()}) != 1:
-            print(f"faces n={n}: computing paths disagree: {rows}", file=sys.stderr)
-            return 3
-    lines.append(
-        f"faces n<=%d: 4 computing paths agree "
-        f"(recurrence, linear recurrence, series, closed form)" % top
-    )
-    for n in range(top + 1):
-        rows = {
-            "mutual recursion": [ct.h_recurrence(n, k) for k in range(n + 1)],
-            "linear recurrence": [ct.h_linear_recurrence(n, k) for k in range(n + 1)],
-            "series": [ct.h_series(top).coeff(n, k) for k in range(n + 1)],
-        }
-        if len({tuple(r) for r in rows.values()}) != 1:
-            print(f"flats n={n}: computing paths disagree: {rows}", file=sys.stderr)
-            return 3
-    lines.append(
-        f"flats n<=%d: 3 computing paths agree "
-        f"(mutual recursion, linear recurrence, series)" % top
-    )
+    for table, paths in paths_by_table.items():
+        for n in range(top + 1):
+            rows = {name: [fn(n, k) for k in range(n + 1)] for name, fn in paths.items()}
+            if len({tuple(r) for r in rows.values()}) != 1:
+                print(f"{table} n={n}: computing paths disagree: {rows}", file=sys.stderr)
+                return 3
+        lines.append(
+            f"{table} n<={top}: {len(paths)} computing paths agree ({', '.join(paths)})"
+        )
 
     for entry in ct.errata_entries():
         fn = ct.g_recurrence if entry["table"] == "faces" else ct.h_recurrence
@@ -383,16 +378,12 @@ def _verify_oracle(n: int, args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
         cells = enumerate_cells(n, cap=cap_cells)
-    except CapExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    cells_done = time.monotonic()
-    try:
+        cells_done = time.monotonic()
         flats = enumerate_flats_geometric(n, cap=cap_flats)
+        flats_done = time.monotonic()
     except CapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    flats_done = time.monotonic()
 
     expected_cells = [ct.g_recurrence(n, k) for k in range(n + 1)]
     expected_flats = [ct.h_recurrence(n, k) for k in range(n + 1)]
@@ -422,21 +413,17 @@ def _verify_oracle(n: int, args: argparse.Namespace) -> int:
 
 
 def _verify_degenerate() -> int:
+    def label(tag, n):
+        return tag if n is None else f"{tag} n={n}"
+
     failures = 0
-    for tag in (wsys.TAG_SO_ODD_V, wsys.TAG_SP_V, wsys.TAG_SP_LAMBDA, wsys.TAG_SP_BOTH):
-        report = check_weights_proportional_to_roots(weight_system(tag, 2))
+    classical = (wsys.TAG_SO_ODD_V, wsys.TAG_SP_V, wsys.TAG_SP_LAMBDA, wsys.TAG_SP_BOTH)
+    for tag, n in [(tag, 2) for tag in classical] + [(wsys.TAG_F4, None), (wsys.TAG_G2, None)]:
+        report = check_weights_proportional_to_roots(weight_system(tag, n))
         status = "proportional" if report.ok else "NOT proportional"
         failures += 0 if report.ok else 1
         print(
-            f"{tag} n=2: {status}, certificates={len(report.certificates)}, "
-            f"zero-weights={report.zero_weights}"
-        )
-    for tag in (wsys.TAG_F4, wsys.TAG_G2):
-        report = check_weights_proportional_to_roots(weight_system(tag))
-        status = "proportional" if report.ok else "NOT proportional"
-        failures += 0 if report.ok else 1
-        print(
-            f"{tag}: {status}, certificates={len(report.certificates)}, "
+            f"{label(tag, n)}: {status}, certificates={len(report.certificates)}, "
             f"zero-weights={report.zero_weights}"
         )
     gl = check_weights_proportional_to_roots(weight_system(wsys.TAG_GL, 2))
@@ -455,8 +442,7 @@ def _verify_degenerate() -> int:
         counts = chamber_cell_counts(tag, n)
         verdict = "matches" if counts == simplex_row else "MISMATCH"
         failures += 0 if counts == simplex_row else 1
-        label = tag if n is None else f"{tag} n={n}"
-        print(f"{label} chamber cells: {counts} ({verdict})")
+        print(f"{label(tag, n)} chamber cells: {counts} ({verdict})")
     print("ok" if failures == 0 else f"{failures} check(s) failed")
     return 0 if failures == 0 else 3
 

@@ -3,8 +3,10 @@
 Cells are the relatively open strata of an arrangement's cone under all its
 cuts: one sign in {-,0,+} per cut, one in {0,+} per wall.  For gl_n the cuts
 are the weight boxes and the walls the consecutive differences.  The search
-walks sign prefixes depth first and prunes with a strict-feasibility LP; a
-parent's witness settles the child that shares its sign without any LP call.
+is search.depth_first over feasible sign prefixes, cuts first, then walls.
+A child prefix is decided when the walk reaches it: the parent's witness
+settles the child that shares its sign without any LP call, and otherwise
+one strict-feasibility LP does.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from ..search import depth_first
 from .arrangement import Arrangement, gl_arrangement
 from .linalg import dot, integer_row, rank_of
 from .simplex import CertificateError, strict_feasible
@@ -129,26 +132,25 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
         witness = strict_feasible(eq, strict, weak, dim, stats=stats)
         return None if witness is None else (witness, integer_row(witness))
 
-    def branches(pos):
-        return (-1, 0, 1) if pos < n_cuts else (0, 1)
+    def children(node):
+        # node: a feasible sign prefix and its (witness, int multiple) pair
+        signs, found = node
+        pos = len(signs)
+        if pos == n_slots:
+            return
+        for s in (-1, 0, 1) if pos < n_cuts else (0, 1):
+            child = signs + (s,)
+            w = check(child, found)
+            if w is not None:
+                yield child, w
 
     out = []
-
-    def walk(signs, found):
+    for signs, found in depth_first(((), None), children):
         if len(signs) == n_slots:
-            cut_signs = tuple(signs[:n_cuts])
-            facet_signs = tuple(signs[n_cuts:])
+            cut_signs, facet_signs = signs[:n_cuts], signs[n_cuts:]
             eq, _ = _split_rows(cut_rows, facet_rows, cut_signs, facet_signs)
             d = dim - rank_of(list(arr.ambient_eqs) + eq)
             out.append((cut_signs, facet_signs, d, found and found[0]))
-            return
-        for s in branches(len(signs)):
-            child = signs + [s]
-            w = check(child, found)
-            if w is not None:
-                walk(child, w)
-
-    walk([], None)
     counts = [0] * (dim + 1)
     for _, _, d, _ in out:
         counts[d] += 1

@@ -5,7 +5,9 @@ componentwise; E*_n drops the origin and Ehat_n adjoins a maximum INF.  The
 level l(a, b) = a + b grades the poset.  Chains in E*_n index the faces of the
 restricted weight arrangement, ensembles (certain unions of intervals) index
 its flats, so everything here is exact and deterministic: enumeration orders
-are fixed and iterators are lazy.
+are fixed and iterators are lazy.  Chains and interval unions are grown one
+point or interval at a time by search.depth_first, and the points of an
+interval are listed from its bounds, never by filtering all of E_n.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Union
+
+from .search import depth_first
 
 
 @dataclass(frozen=True)
@@ -110,11 +114,19 @@ def level_set(n: int, i: int) -> list[PosetPoint]:
 
 def all_points(n: int, *, include_origin: bool = False) -> list[PosetPoint]:
     """E*_n (or E_n) listed in (level, b) order."""
-    start = 0 if include_origin else 1
-    pts: list[PosetPoint] = []
-    for lev in range(start, n + 1):
-        pts.extend(PosetPoint(lev - b, b) for b in range(lev + 1))
-    return pts
+    return _points_between(n, PosetPoint(0, 0), INF, 0 if include_origin else 1)
+
+
+def _points_between(n: int, lo: PosetPoint, hi: ExtendedPoint, floor: int = 0) -> list[PosetPoint]:
+    """The points p of E_n with lo <= p <= hi and level at least floor, in
+    (level, b) order; hi may be INF.  Listed by their coordinates, not by
+    filtering E_n."""
+    top, a_max, b_max = (n, n, n) if hi is INF else (min(hi.level, n), hi.a, hi.b)
+    return [
+        PosetPoint(lev - b, b)
+        for lev in range(max(lo.level, floor), top + 1)
+        for b in range(max(lo.b, lev - a_max), min(b_max, lev - lo.a) + 1)
+    ]
 
 
 def star_size(n: int) -> int:
@@ -148,8 +160,7 @@ def interval_realize(interval: Interval, n: int, *, ambient: str = "E*") -> list
     """
     if ambient not in ("E*", "E"):
         raise ValueError(f"ambient must be 'E*' or 'E', got {ambient!r}")
-    pts = all_points(n, include_origin=(ambient == "E"))
-    return [p for p in pts if interval.lo <= p and p <= interval.hi]
+    return _points_between(n, interval.lo, interval.hi, 0 if ambient == "E" else 1)
 
 
 Chain = tuple[PosetPoint, ...]
@@ -171,30 +182,23 @@ def enumerate_chains(n: int, k: int) -> Iterator[Chain]:
     if k < 0 or k > n:
         return
     pts = all_points(n)
-    prefix: list[PosetPoint] = []
-    # an explicit stack, so a chain may be longer than the recursion limit:
-    # per open depth (one more than the prefix), the next index of pts to try
-    nexts = [0]
-    while nexts:
-        if len(prefix) == k:
-            yield tuple(prefix)
-            idx = len(pts)
-        else:
-            idx = nexts[-1]
-            # Levels still available must suffice to finish the chain.
-            need = k - len(prefix) - 1
-            while idx < len(pts) and (
-                n - pts[idx].level < need or (prefix and not prefix[-1] < pts[idx])
-            ):
-                idx += 1
-        if idx == len(pts):
-            nexts.pop()
-            if prefix:
-                prefix.pop()
-        else:
-            nexts[-1] = idx + 1
-            prefix.append(pts[idx])
-            nexts.append(idx + 1)
+
+    def children(node):
+        # node: a chain and the index of pts where its next point is sought
+        chain, start = node
+        if len(chain) == k:
+            return
+        need = k - len(chain) - 1
+        for idx in range(start, len(pts)):
+            p = pts[idx]
+            if n - p.level < need:
+                break  # too few levels left above p to finish the chain
+            if not chain or chain[-1] < p:
+                yield chain + (p,), idx + 1
+
+    for chain, _ in depth_first(((), 0), children):
+        if len(chain) == k:
+            yield chain
 
 
 @lru_cache(maxsize=None)
@@ -219,23 +223,18 @@ def chain_count(n: int, k: int) -> int:
 def _decompose(n: int, members: set[PosetPoint]) -> tuple[Interval, ...]:
     """Peel a set of points of E_n into its unique valid interval presentation.
 
-    Raises ValueError when the set is not a disjoint union of intervals
-    [A_0, B_0], [A_1, B_1], ... with B_i + (1,1) <= A_{i+1} and the last
-    interval either reaching INF or ending strictly below level n.
+    Raises ValueError when the set is not a disjoint union of intervals,
+    each a rectangle or an up-set of E_n.  The gap and end conditions of a
+    valid presentation are left to _check_presentation.
     """
     remaining = set(members)
     out: list[Interval] = []
-    prev_hi: PosetPoint | None = None
     while remaining:
         lo = PosetPoint(min(p.a for p in remaining), min(p.b for p in remaining))
         if lo not in remaining:
             raise ValueError(f"no minimum among remaining points near {lo}")
-        if prev_hi is not None and not prev_hi.shift(1, 1) <= lo:
-            raise ValueError(f"gap condition fails between {prev_hi} and {lo}")
-        cone = {p for p in all_points(n, include_origin=True) if lo <= p}
-        if cone <= remaining:
+        if remaining.issuperset(_points_between(n, lo, INF)):
             out.append(Interval(lo, INF))
-            remaining.clear()
             return tuple(out)
         dx = 0
         while lo.shift(dx + 1, 0) in remaining:
@@ -244,16 +243,11 @@ def _decompose(n: int, members: set[PosetPoint]) -> tuple[Interval, ...]:
         while lo.shift(0, dy + 1) in remaining:
             dy += 1
         hi = lo.shift(dx, dy)
-        if hi.level > n:
-            raise ValueError(f"rectangle at {lo} runs past level {n}")
         rect = {PosetPoint(a, b) for a in range(lo.a, hi.a + 1) for b in range(lo.b, hi.b + 1)}
         if not rect <= remaining:
             raise ValueError(f"points below {hi} are not all present")
         remaining -= rect
-        if not remaining and hi.level >= n:
-            raise ValueError(f"last interval ends at level {hi.level}, needs < {n} or INF")
         out.append(Interval(lo, hi))
-        prev_hi = hi
     return tuple(out)
 
 
@@ -280,11 +274,8 @@ def _check_presentation(n: int, intervals: tuple[Interval, ...], *, origin_start
 
 
 def _realize(n: int, intervals: tuple[Interval, ...], *, include_origin: bool) -> frozenset[PosetPoint]:
-    pts = all_points(n, include_origin=include_origin)
-    out = set()
-    for iv in intervals:
-        out.update(p for p in pts if iv.lo <= p and p <= iv.hi)
-    return frozenset(out)
+    floor = 0 if include_origin else 1
+    return frozenset(p for iv in intervals for p in _points_between(n, iv.lo, iv.hi, floor))
 
 
 @dataclass(frozen=True)
@@ -357,41 +348,36 @@ class PseudoEnsemble:
         return len({p.level for p in self.realized()}) - 1
 
 
-def _finite_points_from(n: int, lower: PosetPoint) -> list[PosetPoint]:
-    return [p for p in all_points(n, include_origin=True) if lower <= p]
-
-
-def _interval_unions(
-    n: int,
-    target: int,
-    floor: int,
-    cls,
-    starts: list[PosetPoint],
-    done: tuple[Interval, ...] = (),
-    levels: int = 0,
-):
-    """Every valid interval union whose first interval starts in starts and
+def _interval_unions(n: int, target: int, floor: int, cls, first: Interval):
+    """Every valid interval union whose first interval starts in first and
     whose intervals cover exactly target levels at or above floor, each
     built as cls(n, intervals).
 
-    Intervals are grown front to back; candidate endpoints are scanned in
-    (level, b) order with INF last, so the order is reproducible.  done is a
-    valid prefix covering levels such levels, whose last interval ends
-    strictly below level n.
+    A node of the walk is a prefix of intervals, the number of levels it
+    covers, and the range of the next interval's start: [hi + (1,1), INF]
+    after a finite end hi, or None once the prefix is a complete union.
+    Prefixes that can be neither completed nor extended are not visited.
+    Candidate ends are scanned in (level, b) order with INF last, so the
+    order is reproducible.
     """
-    for lo in starts:
-        for hi in _finite_points_from(n, lo):
-            lv = levels + min(hi.level, n) - max(lo.level, floor) + 1
-            if lv > target:
-                continue
-            nxt = done + (Interval(lo, hi),)
-            if hi.level < n and lv == target:
-                yield cls(n, nxt)
-            if hi.level + 2 <= n:
-                after = _finite_points_from(n, hi.shift(1, 1))
-                yield from _interval_unions(n, target, floor, cls, after, nxt, lv)
-        if levels + n - max(lo.level, floor) + 1 == target:
-            yield cls(n, done + (Interval(lo, INF),))
+
+    def children(node):
+        done, levels, starts = node
+        if starts is None:
+            return
+        for lo in _points_between(n, starts.lo, starts.hi):
+            base = levels - max(lo.level, floor) + 1
+            for hi in _points_between(n, lo, INF):
+                lv = base + hi.level
+                if (lv == target and hi.level < n) or (lv < target and hi.level + 2 <= n):
+                    after = Interval(hi.shift(1, 1), INF) if lv < target else None
+                    yield done + (Interval(lo, hi),), lv, after
+            if base + n == target:
+                yield done + (Interval(lo, INF),), target, None
+
+    for done, _, starts in depth_first(((), 0, first), children):
+        if starts is None:
+            yield cls(n, done)
 
 
 def enumerate_ensembles(n: int, k: int) -> Iterator[Ensemble]:
@@ -401,7 +387,8 @@ def enumerate_ensembles(n: int, k: int) -> Iterator[Ensemble]:
     """
     if k < 0 or k > n:
         return
-    yield from _interval_unions(n, k, 1, Ensemble, [PosetPoint(0, 0)])
+    origin = PosetPoint(0, 0)
+    yield from _interval_unions(n, k, 1, Ensemble, Interval(origin, origin))
 
 
 def enumerate_pseudo_ensembles(n: int, k: int) -> Iterator[PseudoEnsemble]:
@@ -414,5 +401,4 @@ def enumerate_pseudo_ensembles(n: int, k: int) -> Iterator[PseudoEnsemble]:
     if k == -1:
         yield PseudoEnsemble(n, ())
         return
-    starts = all_points(n, include_origin=True)
-    yield from _interval_unions(n, k + 1, 0, PseudoEnsemble, starts)
+    yield from _interval_unions(n, k + 1, 0, PseudoEnsemble, Interval(PosetPoint(0, 0), INF))

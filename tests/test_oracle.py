@@ -636,6 +636,14 @@ def test_arrangement_rows_have_the_ambient_length():
     assert gl_arrangement(2).cuts == tuple(inc.weight_functional(2, i) for i in inc.weight_indices(2))
 
 
+def test_long_sign_vectors_need_no_recursion():
+    # 1,100 cuts on a point: one slot per level of the walk, deeper than
+    # the default recursion limit; only the all-zero sign vector is a cell
+    cells, counts = enumerate_generic_cells(Arrangement(0, ((),) * 1100, ()))
+    assert counts == [1]
+    assert cells == [((0,) * 1100, (), 0, ())]
+
+
 def test_oracle_imports_no_combinatorial_model():
     # the oracle arbitrates the combinatorial layers, so it must not use them
     banned = {"incidence", "poset", "chambers"}

@@ -4,8 +4,11 @@ the canonical-form round trip."""
 
 import hashlib
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylfan.poset import (
     INF,
@@ -243,6 +246,32 @@ def test_ensembles_by_subset_filter(n):
     for k in range(n + 1):
         enumerated = {e.realized() for e in enumerate_ensembles(n, k)}
         assert enumerated == accepted.get(k, set())
+
+
+@lru_cache(maxsize=None)
+def _ensembles_by_realized_set(n):
+    return {e.realized(): e for k in range(n + 1) for e in enumerate_ensembles(n, k)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_from_points_near_enumerated_ensembles(data):
+    """Beyond the subset filter's reach: toggle at most one point of an
+    enumerated ensemble's realized set; from_points accepts exactly the
+    realized sets of enumerated ensembles, and what it accepts round-trips."""
+    n = data.draw(st.integers(5, 6), label="n")
+    by_set = _ensembles_by_realized_set(n)
+    realized = data.draw(st.sampled_from(list(by_set)), label="realized")
+    toggle = data.draw(st.none() | st.sampled_from(all_points(n)), label="toggle")
+    points = realized ^ {toggle} if toggle is not None else realized
+    try:
+        got = Ensemble.from_points(n, points)
+    except ValueError:
+        got = None
+    assert got == by_set.get(points)
+    if got is not None:
+        assert got.realized() == points
+        assert Ensemble.from_points(n, got.realized()) == got
 
 
 def test_distinct_presentations_distinct_sets():
