@@ -11,8 +11,8 @@ depends on the clock goes to stderr.  Exit codes: 0 success, 2 usage or
 refused request, 3 a cross-check disagreed, 4 output could not be written.
 
 The oracle caps are a flag, then a ``WEYLFAN_ORACLE_CAP_*`` environment
-variable, then the default (cells 5, flats 6); they are read only by the
-commands that run the oracle.
+variable, then the default, ``CELL_CAP`` or ``FLAT_CAP`` of the oracle
+modules; they are read only by the commands that run the oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from .oracle import (
     weight_system,
 )
 from .oracle import weightsystems as wsys
+from .oracle.cells import CELL_CAP
+from .oracle.flats import FLAT_CAP
 from .poset import INF, enumerate_chains, enumerate_ensembles
 
 ENUMERATION_BOUND = 10  # largest rank where count --method enumerate walks objects
@@ -59,8 +61,8 @@ class UsageError(Exception):
 
 # table -> (flag destination, environment variable, default) of its oracle cap
 _ORACLE_CAPS = {
-    "faces": ("oracle_cap_cells", "WEYLFAN_ORACLE_CAP_CELLS", 5),
-    "flats": ("oracle_cap_flats", "WEYLFAN_ORACLE_CAP_FLATS", 6),
+    "faces": ("oracle_cap_cells", "WEYLFAN_ORACLE_CAP_CELLS", CELL_CAP),
+    "flats": ("oracle_cap_flats", "WEYLFAN_ORACLE_CAP_FLATS", FLAT_CAP),
 }
 
 
@@ -456,6 +458,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print("n must be at least 1", file=sys.stderr)
             return 2
         return _verify_oracle(args.n, args)
+    # the rank and the caps are the oracle's; no other check takes them
+    for flag, value in (
+        ("-n", args.n),
+        ("--oracle-cap-cells", args.oracle_cap_cells),
+        ("--oracle-cap-flats", args.oracle_cap_flats),
+    ):
+        if value is not None:
+            print(f"verify {flag} needs --oracle", file=sys.stderr)
+            return 2
     if args.non_simply_laced:
         return _verify_degenerate()
     return _verify_tables()
@@ -509,8 +520,9 @@ def build_parser() -> argparse.ArgumentParser:
     graph.set_defaults(func=cmd_graph)
 
     verify = commands.add_parser("verify", help="run cross-checks")
-    verify.add_argument("--oracle", action="store_true")
-    verify.add_argument("--non-simply-laced", action="store_true")
+    check = verify.add_mutually_exclusive_group()
+    check.add_argument("--oracle", action="store_true")
+    check.add_argument("--non-simply-laced", action="store_true")
     verify.add_argument("-n", type=int, default=None)
     _add_cap_flags(verify)
     verify.set_defaults(func=cmd_verify)

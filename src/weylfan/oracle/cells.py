@@ -29,6 +29,8 @@ N1_NOTE = (
     "to [1, 2]; the printed row is flagged in the bundled errata data."
 )
 
+CELL_CAP = 5  # default largest rank of enumerate_cells
+
 
 class CapExceeded(RuntimeError):
     """Raised instead of silently attempting an oversized search."""
@@ -157,7 +159,7 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
     return out, counts
 
 
-def enumerate_cells(n: int, *, cap: int = 5) -> CellEnumeration:
+def enumerate_cells(n: int, *, cap: int = CELL_CAP) -> CellEnumeration:
     """Every cell of the rank-n picture, tallied by dimension."""
     if n < 1:
         raise ValueError("rank must be at least 1")
@@ -178,7 +180,7 @@ def enumerate_cells(n: int, *, cap: int = 5) -> CellEnumeration:
     return CellEnumeration(n, counts, cells, notes, stats)
 
 
-def rays_geometric(n: int, *, cap: int = 5, cells=None):
+def rays_geometric(n: int, *, cap: int = CELL_CAP, cells=None):
     """The 1-dimensional cells as exactly normalized direction vectors.
 
     Every witness, scaled by its largest absolute coordinate, must land on a

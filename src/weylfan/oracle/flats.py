@@ -33,6 +33,8 @@ from .cells import CapExceeded
 from .linalg import dot, kernel_basis, rank_of
 from .simplex import cone_positive
 
+FLAT_CAP = 6  # default largest rank of enumerate_flats_geometric
+
 
 @dataclass(frozen=True)
 class GeometricFlat:
@@ -106,7 +108,7 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[dict] = None):
     return flats, counts
 
 
-def enumerate_flats_geometric(n: int, *, cap: int = 6) -> FlatEnumeration:
+def enumerate_flats_geometric(n: int, *, cap: int = FLAT_CAP) -> FlatEnumeration:
     """Every flat of the rank-n picture, its tight set as weight boxes."""
     if n < 1:
         raise ValueError("rank must be at least 1")

@@ -1,13 +1,15 @@
 """Exact linear algebra on integer rows: rank and kernel by one fraction-free
-elimination step, which the simplex tableau uses too.
+elimination loop, whose step the simplex tableau uses too.
 
 A row is a list of ints that stands for every positive multiple of itself.
 Rows of ints and Fractions enter through `integer_row`, which clears their
 denominators.  `eliminate` clears one column of a row against a pivot row and
 divides the result by the gcd of its entries, so the entries stay small and
 no Fraction is created inside any elimination loop (Bareiss 1968, Math.
-Comp. 22; Edmonds 1967, J. Res. NBS 71B).  Kernel vectors come out as
-primitive int vectors too, so products against them stay int.
+Comp. 22; Edmonds 1967, J. Res. NBS 71B).  `_reduce` is the one elimination
+loop: it brings rows to reduced row echelon form up to one factor per row.
+`rank_of` counts its pivots, and `kernel_basis` reads one kernel vector per
+free column, a primitive int vector, so products against it stay int.
 """
 
 from __future__ import annotations
@@ -36,22 +38,32 @@ def eliminate(row: list[int], lead: list[int], col: int) -> list[int]:
     return out
 
 
-def rank_of(rows) -> int:
-    """Rank of rows of ints and Fractions, by elimination below each pivot."""
+def _reduce(rows, dim: int) -> tuple[list[list[int]], list[int]]:
+    """Rows of ints and Fractions in reduced row echelon form up to a nonzero
+    factor per row, and their pivot columns: one `eliminate` step clears each
+    pivot column above and below its pivot.  The loop stops once every row
+    is a pivot row, since every column after that is free."""
     m = [integer_row(row) for row in rows]
-    rank = 0
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+    pivots: list[int] = []
+    for col in range(dim):
+        lead = len(pivots)
+        if lead == len(m):
+            break
+        pivot = next((r for r in range(lead, len(m)) if m[r][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                m[r] = eliminate(m[r], m[rank], col)
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+        m[lead], m[pivot] = m[pivot], m[lead]
+        for r in range(len(m)):
+            if r != lead and m[r][col]:
+                m[r] = eliminate(m[r], m[lead], col)
+        pivots.append(col)
+    return m, pivots
+
+
+def rank_of(rows) -> int:
+    """Rank of rows of ints and Fractions: the number of pivots of `_reduce`."""
+    rows = list(rows)
+    return len(_reduce(rows, len(rows[0]) if rows else 0)[1])
 
 
 def kernel_basis(rows, dim: int) -> tuple[tuple[int, ...], ...]:
@@ -62,18 +74,7 @@ def kernel_basis(rows, dim: int) -> tuple[tuple[int, ...], ...]:
     lcm s > 0 of its denominators.  Its entry at the free column is s, and
     that is its last nonzero entry, so v / v[last nonzero] is the RREF vector.
     """
-    m = [integer_row(row) for row in rows]
-    pivots: list[int] = []
-    for col in range(dim):
-        lead = len(pivots)
-        pivot = next((r for r in range(lead, len(m)) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[lead], m[pivot] = m[pivot], m[lead]
-        for r in range(len(m)):
-            if r != lead and m[r][col]:
-                m[r] = eliminate(m[r], m[lead], col)
-        pivots.append(col)
+    m, pivots = _reduce(rows, dim)
     basis = []
     for fc in range(dim):
         if fc in pivots:

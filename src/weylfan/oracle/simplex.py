@@ -10,12 +10,17 @@ capped at row . x <= 1.  Pivoting is greedy while it makes progress and
 switches to Bland's rule through degenerate stretches, which guarantees
 termination.
 
+Both questions share one textbook tableau over the kernel of the
+equalities.  Its variables are y = p - q with x = sum_j y_j B_j, the B_j the
+primitive int kernel vectors of `kernel_basis`.  Every input row enters once
+through `linalg.integer_row`, so it stands for its positive multiples as
+every row does in `linalg`.  Every slack, margin and cap coefficient is 1,
+and the right-hand side is (0, ..., 0, 1): zero on the strict and weak rows,
+one on the cap.
+
 The tableau is exact and fraction-free: its rows are integer rows that stand
 for their positive multiples, and a pivot is one `linalg.eliminate` step per
-row, the same step that computes ranks and kernels.  Both questions share
-one tableau, built from the primitive int kernel vectors of `kernel_basis`,
-each row L times the row of the rational tableau over the RREF kernel
-vectors, so it pivots exactly as that tableau does.  Values, solutions and
+row, the same step that computes ranks and kernels.  Values, solutions and
 witnesses are read back as Fractions.
 """
 
@@ -107,43 +112,20 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
         basis[leaving] = entering
 
 
-def _columns(basis_vecs):
-    """Multipliers that turn products with the primitive kernel vectors B_j
-    into L times products with the RREF vectors b_j.
-
-    B_j is s_j times b_j, s_j its last nonzero entry.  With L = lcm(s_j),
-    the product of a row with B_j times L // s_j is L times its product with
-    b_j: an LP assembled from these int columns, every other entry of a row
-    times L too, is the rational LP over the b_j up to positive row scaling,
-    so it pivots the same way.  Returns L and the multipliers L // s_j.
-    """
-    scales = [next(v for v in reversed(b) if v) for b in basis_vecs]
-    big = lcm(*scales)
-    return big, [big // s for s in scales]
-
-
-def _kernel_point(solution, basis_vecs, big, mult, dim):
-    """The point sum_j (p_j - q_j) b_j of an LP solution, as Fractions and as
-    a positive integer multiple of it; b_j is B_j * (L // s_j) / L."""
+def _kernel_point(solution, basis_vecs, dim):
+    """The point sum_j (p_j - q_j) B_j of an LP solution, as Fractions and as
+    a positive integer multiple of it."""
     d = len(basis_vecs)
-    coeffs = [(solution[j] - solution[d + j]) * m for j, m in enumerate(mult)]
+    coeffs = [solution[j] - solution[d + j] for j in range(d)]
     den = lcm(*(c.denominator for c in coeffs))
     nums = [c.numerator * (den // c.denominator) for c in coeffs]
     ints = [sum(a * b[i] for a, b in zip(nums, basis_vecs)) for i in range(dim)]
-    return tuple(Fraction(v, den * big) for v in ints), ints
+    return tuple(Fraction(v, den) for v in ints), ints
 
 
-def _project(rows, basis_vecs, mult):
-    """Each row's products with the int columns, the row first scaled by the
-    lcm c > 0 of its denominators, paired with c.  A tableau row built from
-    them, every other entry times c too, is int and stands for the same
-    constraint."""
-    out = []
-    for row in rows:
-        c = lcm(*(v.denominator for v in row))
-        ints = [int(v * c) for v in row]
-        out.append(([dot(ints, b) * m for b, m in zip(basis_vecs, mult)], c))
-    return out
+def _project(rows, basis_vecs):
+    """Each row, cleared of its denominators, as its products with the B_j."""
+    return [[dot(row, b) for b in basis_vecs] for row in map(integer_row, rows)]
 
 
 def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
@@ -157,37 +139,31 @@ def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
     if d == 0:
         # the origin is the only point, and no strict row is positive there
         return None if strict_rows else zero
-    big, mult = _columns(basis_vecs)
-    strict_proj = _project(strict_rows, basis_vecs, mult)
-    if any(all(v == 0 for v in row) for row, _ in strict_proj):
+    strict_proj = _project(strict_rows, basis_vecs)
+    if any(all(v == 0 for v in row) for row in strict_proj):
         return None
     if not strict_rows:
         return zero  # kernel point; every weak row vanishes there
     if len(strict_proj) == 1:
         # the strict row is the objective and its own cap: no margin column
-        [(g, c)] = strict_proj
+        [g] = strict_proj
         head, shifted = g + [-v for v in g], []
     else:
-        head, c, shifted = [0] * (2 * d) + [big], 1, strict_proj
-    # columns: p (d), q (d), the margin if any, then one slack per row: the
-    # strict rows shifted by the margin, the weak rows and the cap, each as
-    # (body, c, rhs); every row is L times c times its rational counterpart
-    weak_proj = _project(weak_rows, basis_vecs, mult)
-    lhs = [([-v for v in r] + r + [rc * big], rc, 0) for r, rc in shifted]
-    lhs += [([-v for v in r] + r, rc, 0) for r, rc in weak_proj]
-    lhs.append((head, c, c * big))
-    ncols = len(head) + len(lhs)
-    rows = []
-    for slack, (body, rc, _) in enumerate(lhs, start=len(head)):
-        rows.append(body + [0] * (ncols - len(body)))
-        rows[-1][slack] = rc * big
-    rhs = [value for _, _, value in lhs]
-    basis = list(range(len(head), ncols))
-    objective = head + [0] * len(lhs)
-    value, solution = simplex_max(rows, rhs, objective, basis, stats=stats)
+        head, shifted = [0] * (2 * d) + [1], strict_proj
+    # columns: p (d), q (d), the margin if any, then one unit slack per row:
+    # the strict rows shifted by the margin, the weak rows and the cap
+    pad = [0] * (len(head) - 2 * d)
+    bodies = [[-v for v in r] + r + [1] for r in shifted]
+    bodies += [[-v for v in r] + r + pad for r in _project(weak_rows, basis_vecs)]
+    bodies.append(head)
+    m = len(bodies)
+    rows = [body + [0] * r + [1] + [0] * (m - 1 - r) for r, body in enumerate(bodies)]
+    basis = list(range(len(head), len(head) + m))
+    objective = head + [0] * m
+    value, solution = simplex_max(rows, [0] * (m - 1) + [1], objective, basis, stats=stats)
     if value <= 0:
         return None
-    witness, scaled = _kernel_point(solution, basis_vecs, big, mult, dim)
+    witness, scaled = _kernel_point(solution, basis_vecs, dim)
     if (
         any(dot(row, scaled) != 0 for row in eq_rows)
         or any(dot(row, scaled) <= 0 for row in strict_rows)

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional
 
 from .arrangement import Arrangement, difference_walls
 from .cells import enumerate_generic_cells
+from .linalg import integer_row
 
 TAG_SO_ODD_V = "so_{2n+1}:V"
 TAG_SP_V = "sp_n:V"
@@ -244,8 +245,7 @@ def simplex_counts(n: int, k: int) -> int:
 
 
 def _canonical_hyperplane(vec: Vector) -> Vector:
-    denom = lcm(*(v.denominator for v in vec))
-    ints = [int(v * denom) for v in vec]
+    ints = integer_row(vec)
     g = gcd(*ints)
     if g:
         ints = [v // g for v in ints]

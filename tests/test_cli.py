@@ -221,6 +221,21 @@ def test_verify_oracle_report(capsys):
     assert code == 2  # -n required
 
 
+def test_verify_refuses_flags_it_cannot_honour(capsys):
+    # the rank and the caps are the oracle's; no other check takes them
+    for argv in (
+        ("-n", "3"),
+        ("--non-simply-laced", "-n", "2"),
+        ("--oracle-cap-cells", "9"),
+        ("--non-simply-laced", "--oracle-cap-flats", "2"),
+    ):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == "" and "needs --oracle" in err
+    # one check per run
+    code, out, err = run(capsys, "verify", "--oracle", "--non-simply-laced", "-n", "2")
+    assert code == 2 and out == "" and "not allowed with" in err
+
+
 def test_verify_degenerate(capsys):
     code, out, _ = run(capsys, "verify", "--non-simply-laced")
     assert code == 0

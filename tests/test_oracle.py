@@ -301,14 +301,22 @@ def _reference_lp(basis, bodies, objective, stats):
     return tuple(sum((sol[j] - sol[d + j]) * b[i] for j, b in enumerate(basis)) for i in range(dim))
 
 
+def cleared(row):
+    """The row times the lcm of its denominators."""
+    c = lcm(*(v.denominator for v in row))
+    return [int(v * c) for v in row]
+
+
 def reference_strict_feasible(eq, strict, weak, dim, *, stats=None):
     """The margin LP as the rational tableau over the RREF kernel vectors,
-    unit slacks: maximize t subject to t <= strict . x, weak . x >= 0 and the
-    cap t <= 1.  A single strict row is the objective and the cap itself."""
-    _, basis = reference_rref(eq, dim)
+    each cleared of its denominators, unit slacks: maximize t subject to
+    t <= strict . x, weak . x >= 0 and the cap t <= 1, every strict and weak
+    row cleared of its denominators too.  A single strict row is the
+    objective and the cap itself."""
+    basis = tuple(cleared(b) for b in reference_rref(eq, dim)[1])
     if not basis:
         return None if strict else (0,) * dim
-    sp, wp = ([[dot(r, b) for b in basis] for r in rows] for rows in (strict, weak))
+    sp, wp = ([[dot(cleared(r), b) for b in basis] for r in rows] for rows in (strict, weak))
     if any(all(v == 0 for v in r) for r in sp):
         return None
     if not strict:
@@ -332,18 +340,25 @@ def reference_cone_positive(eq, functional, weak, dim, *, stats=None):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(sign_systems())
-# L = 2 with two strict rows: the cap's margin coefficient must be L too
+# two strict rows over the primitive kernel vector (1, 2, 0), twice its RREF vector
 @example((3, [(2, -1, 0)], [(1, 0, 0), (0, 0, 1)], [(0, 1, 0)], (1, 0, 0)))
 def test_lp_witnesses_hold_and_match_the_reference(system):
     dim, eq, strict, weak, functional = system
     ours, ref = {}, {}
     witness = strict_feasible(eq, strict, weak, dim, stats=ours)
     point = cone_positive(eq, functional, weak, dim, stats=ours)
-    # the int columns are the rational tableau up to positive row scaling:
-    # same witnesses, same pivots
+    # the int tableau is the reference's Fraction tableau up to positive
+    # row scaling: same witnesses, same pivots
     assert witness == reference_strict_feasible(eq, strict, weak, dim, stats=ref)
     assert point == reference_cone_positive(eq, functional, weak, dim, stats=ref)
     assert ours.get("pivots", 0) == ref.get("pivots", 0)
+    # a row stands for its positive multiples: clearing the denominators of
+    # the input rows moves no witness and no pivot
+    int_eq, int_strict, int_weak = ([cleared(r) for r in rows] for rows in (eq, strict, weak))
+    whole = {}
+    assert strict_feasible(int_eq, int_strict, int_weak, dim, stats=whole) == witness
+    assert cone_positive(int_eq, cleared(functional), int_weak, dim, stats=whole) == point
+    assert whole == ours
     # one LP behind both questions: a functional is one strict row
     cone, single = {}, {}
     assert cone_positive(eq, functional, weak, dim, stats=cone) == strict_feasible(
@@ -365,6 +380,7 @@ def test_lp_witnesses_hold_and_match_the_reference(system):
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(sign_systems())
 @example((2, [], [(1, 0), (0, 1)], [(1, -1)], (1, 1)))
+@example((3, [(2, -1, 0)], [(1, 0, 0), (0, 0, 1)], [(0, 1, 0)], (1, 0, 0)))
 def test_margin_lp_has_no_box_rows(system):
     # one tableau row per weak row, one per strict row shifted by the margin,
     # and the cap; a single strict row is the cap itself
@@ -372,7 +388,7 @@ def test_margin_lp_has_no_box_rows(system):
     seen = []
 
     def recording(rows, rhs, objective, basis, *, stats=None):
-        seen.append(len(rows))
+        seen.append((rows, rhs, basis))
         return simplex_max(rows, rhs, objective, basis, stats=stats)
 
     with mock.patch.object(simplex, "simplex_max", recording):
@@ -383,7 +399,19 @@ def test_margin_lp_has_no_box_rows(system):
             seen.clear()
             call()
             shifted = len(strict_rows) if len(strict_rows) > 1 else 0
-            assert seen in ([], [shifted + len(weak) + 1])
+            m = shifted + len(weak) + 1
+            assert len(seen) <= 1
+            for rows, rhs, basis in seen:
+                # a textbook tableau: unit slacks, a unit margin in the
+                # shifted rows and the cap, and the right-hand side (0, ..., 0, 1)
+                assert len(rows) == m
+                assert [[row[c] for c in basis] for row in rows] == [
+                    [int(r == i) for i in range(m)] for r in range(m)
+                ]
+                assert rhs == [0] * (m - 1) + [1]
+                if shifted:
+                    margin = [row[basis[0] - 1] for row in rows]
+                    assert margin == [1] * shifted + [0] * len(weak) + [1]
 
 
 def test_witness_checks_reject_a_bogus_optimum(monkeypatch):
