@@ -12,7 +12,8 @@ refused request, 3 a cross-check disagreed, 4 output could not be written.
 
 The oracle caps are a flag, then a ``WEYLFAN_ORACLE_CAP_*`` environment
 variable, then the default, ``CELL_CAP`` or ``FLAT_CAP`` of the oracle
-modules; they are read only by the commands that run the oracle.
+modules; they are read only by the commands that run the oracle, and a
+cap flag is refused (exit 2) where its oracle does not run.
 """
 
 from __future__ import annotations
@@ -148,6 +149,17 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.k is not None and not 0 <= args.k <= n:
         print(f"k must be between 0 and {n}", file=sys.stderr)
         return 2
+    # a cap flag is read only by its own table's oracle
+    for own, (dest, _, _) in _ORACLE_CAPS.items():
+        if getattr(args, dest) is None:
+            continue
+        flag = "--" + dest.replace("_", "-")
+        if table != own:
+            print(f"count {flag} needs --{own}", file=sys.stderr)
+            return 2
+        if args.method not in ("oracle", "all"):
+            print(f"count {flag} needs --method oracle or all", file=sys.stderr)
+            return 2
 
     try:
         if args.method == "all":

@@ -8,13 +8,20 @@ T of cuts is the cone C_T = {x in C : cut . x = 0 for every cut in T}.
 The affine hull of C_T (a linear span, since C_T is a cone) is cut out by
 T's rows and the ambient equalities together with the implicit equalities of
 C_T: the walls that vanish on all of C_T (Schrijver, Theory of Linear and
-Integer Programming, 8.2).  A wall is implicit when it is orthogonal to the
-kernel of those rows, or when no point of C_T makes it positive, one exact
-LP; a witness point from an earlier LP settles every wall it shows positive.
-One kernel of the rows plus the equalities then gives both the dimension of
-the flat (the kernel's size) and its tight closure: a cut vanishes on the
-flat exactly when it is orthogonal to the whole kernel.  A closure costs at
-most one LP per wall and none per cut.
+Integer Programming, 8.2).  A closure takes one kernel B_1, ..., B_d of those
+rows and works in its coordinates, where C_T is the cone {wall . B_j >= 0} in
+Q^d.  A wall orthogonal to every B_j vanishes by the rows alone.  A wall
+positive at a point of C_T is no implicit equality; the points +-B_j that
+every wall keeps >= 0 are such points, checked with no LP.  The walls left
+are decided together, in rounds: one LP looks for a point of C_T where their
+sum is positive, which drops every wall positive there, and the round
+repeats on the walls left.  Once no such point exists, each wall left is
+>= 0 on C_T and their sum is <= 0 there, so all of them vanish on C_T.  A
+closure thus makes at most one infeasible LP, one feasible LP per round
+(each drops at least one wall), and at most one more kernel, that of the
+implicit walls in Q^d, which gives both the dimension of the flat (the
+kernel's size) and its tight closure: a cut vanishes on the flat exactly
+when it is orthogonal to the whole kernel.
 
 Two cut sets give the same flat exactly when they have the same tight
 closure (the full set of cuts vanishing on the intersection), so closures
@@ -33,7 +40,7 @@ from .cells import CapExceeded
 from .linalg import dot, kernel_basis, rank_of
 from .simplex import cone_positive
 
-FLAT_CAP = 6  # default largest rank of enumerate_flats_geometric
+FLAT_CAP = 7  # default largest rank of enumerate_flats_geometric
 
 
 @dataclass(frozen=True)
@@ -55,18 +62,28 @@ def _closure(arr: Arrangement, T, stats):
     """Tight closure (cut positions) and dimension of the flat cut by T."""
     rows = [arr.cuts[c] for c in sorted(T)] + list(arr.ambient_eqs)
     free = kernel_basis(rows, arr.dim)
-    equalities = []
-    points = []
-    for wall in arr.walls:
-        if all(dot(wall, k) == 0 for k in free):
-            equalities.append(wall)  # wall = 0 follows from the rows alone
-        elif not any(dot(wall, p) for p in points):
-            point = cone_positive(rows, wall, arr.walls, arr.dim, stats=stats)
-            if point is None:
-                equalities.append(wall)
-            else:
-                points.append(point)
-    span = kernel_basis(rows + equalities, arr.dim) if equalities else free
+    d = len(free)
+    # C_T in the coordinates of the kernel; walls that vanish there are implied
+    walls = [[dot(wall, b) for b in free] for wall in arr.walls]
+    walls = [w for w in walls if any(w)]
+    implicit = walls
+    for j in range(d):
+        for sign in (1, -1):
+            if all(sign * w[j] >= 0 for w in walls):  # sign * B_j lies in C_T
+                implicit = [w for w in implicit if sign * w[j] <= 0]
+    while implicit:
+        total = [sum(col) for col in zip(*implicit)]
+        point = cone_positive([], total, walls, d, stats=stats)
+        if point is None:
+            break  # each wall left is >= 0 on C_T and their sum is <= 0 there
+        implicit = [w for w in implicit if dot(w, point) <= 0]
+    span = free
+    if implicit:
+        # the kernel of the implicit walls in Q^d, taken back to Q^dim
+        span = [
+            tuple(sum(c * b[i] for c, b in zip(h, free)) for i in range(arr.dim))
+            for h in kernel_basis(implicit, d)
+        ]
     tight = frozenset(
         c
         for c, cut in enumerate(arr.cuts)

@@ -76,7 +76,7 @@ def test_count_method_all(capsys):
     # beyond the flat-oracle cap the oracle leg is skipped, not attempted
     code, out, err = run(capsys, "count", "--flats", "-n", "8", "--method", "all")
     assert code == 0 and out.startswith("1 30 151")
-    assert "skipped: oracle (cap 6)" in err
+    assert "skipped: oracle (cap 7)" in err
     # the oracle needs rank >= 1, so at n = 0 its leg is skipped too
     for table in ("--faces", "--flats"):
         code, out, err = run(capsys, "count", table, "-n", "0", "--method", "all")
@@ -111,6 +111,23 @@ def test_count_oracle_cap_override(capsys, monkeypatch):
         "--oracle-cap-cells", "2",
     )
     assert code == 0 and out == "1 5 4\n"
+
+
+def test_count_refuses_cap_flags_it_cannot_honour(capsys):
+    # a cap flag is read only by the oracle of its own table
+    method = "needs --method oracle or all"
+    for argv, needs in (
+        (("--faces", "--oracle-cap-cells", "9"), method),
+        (("--flats", "--method", "series", "--oracle-cap-flats", "9"), method),
+        (("--faces", "--method", "all", "--oracle-cap-flats", "9"), "needs --flats"),
+        (("--flats", "--method", "oracle", "--oracle-cap-cells", "9"), "needs --faces"),
+    ):
+        code, out, err = run(capsys, "count", "-n", "3", *argv)
+        assert code == 2 and out == "" and needs in err
+    code, out, _ = run(
+        capsys, "count", "--flats", "-n", "3", "--method", "all", "--oracle-cap-flats", "3"
+    )
+    assert code == 0 and out == "1 5 6 1\n"
 
 
 def test_removed_flags_are_unknown(capsys):

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -33,6 +34,7 @@ from weylfan.oracle import (
 )
 from weylfan.oracle import weightsystems as wsys
 from weylfan.oracle import arrangement, simplex
+from weylfan.oracle import flats as flat_oracle
 from weylfan.oracle.cells import enumerate_generic_cells
 from weylfan.oracle.linalg import dot, kernel_basis, rank_of
 from weylfan.oracle.simplex import (
@@ -519,11 +521,11 @@ PINNED_CELLS = {
 }
 PINNED_FLATS = {
     4: (
-        {"lp_calls": 287, "pivots": 393, "flats": 34, "closures": 187},
+        {"lp_calls": 101, "pivots": 97, "flats": 34, "closures": 187},
         "8ac8037f6a8ecfa2575265236d1797a92d2d61dc7ca90628473731e8023b11d1",
     ),
     5: (
-        {"lp_calls": 1865, "pivots": 2940, "flats": 89, "closures": 834},
+        {"lp_calls": 641, "pivots": 702, "flats": 89, "closures": 834},
         "03577b47b50a2506374ae45dca672fb80392b717493372df0ab5457fb116a5a2",
     ),
 }
@@ -553,8 +555,8 @@ def test_cap_refusals():
         enumerate_cells(6)
     assert "3^(n(n+1)/2)" in str(err.value) and str(3**21 * 2**5) in str(err.value)
     with pytest.raises(CapExceeded) as err:
-        enumerate_flats_geometric(7)
-    assert "2^(n(n+1)/2)" in str(err.value) and str(2**28) in str(err.value)
+        enumerate_flats_geometric(8)
+    assert "2^(n(n+1)/2)" in str(err.value) and str(2**36) in str(err.value)
     with pytest.raises(CapExceeded):
         enumerate_cells(2, cap=1)
     with pytest.raises(CapExceeded):
@@ -587,12 +589,31 @@ def test_rays_geometric_rejects_a_non_lattice_witness():
         rays_geometric(2, cells=cells)
 
 
+def _record_cone_positive(log):
+    """A stand-in for the flat oracle's cone_positive that logs each call's
+    equality rows and whether it answered None."""
+    real = flat_oracle.cone_positive
+
+    def record(eq_rows, *args, **kwargs):
+        point = real(eq_rows, *args, **kwargs)
+        log.append((list(eq_rows), point is None))
+        return point
+
+    return mock.patch.object(flat_oracle, "cone_positive", record)
+
+
 def test_flats_golden_rows():
     for n in range(1, 5):
-        enum = enumerate_flats_geometric(n)
+        log = []
+        with _record_cone_positive(log):
+            enum = enumerate_flats_geometric(n)
         assert enum.counts == [ct.h_recurrence(n, k) for k in range(n + 1)]
-        # one LP per implicit-equality candidate, never one per weight
-        assert enum.stats.get("lp_calls", 0) <= (n - 1) * enum.stats["closures"]
+        # one LP per sum-of-walls round: a round that finds a point drops at
+        # least one of the n - 1 walls, and only a closure's last round can
+        # find none, so a closure makes at most n - 1 LPs, one infeasible
+        closures = enum.stats["closures"]
+        assert enum.stats.get("lp_calls", 0) == len(log) <= (n - 1) * closures
+        assert sum(none for _, none in log) <= closures
 
 
 def test_flats_cross_check_with_ensembles():
@@ -635,13 +656,12 @@ _ARRANGEMENTS = (
     + [(tag, n) for tag in wsys.TAGS if tag not in (wsys.TAG_F4, wsys.TAG_G2) for n in (2, 3)]
     + [(wsys.TAG_F4, None), (wsys.TAG_G2, None)]
 )
+_ARRANGEMENT_IDS = [
+    _TAG_IDS.get(tag, "gl_arrangement") + (f"-{n}" if n else "") for tag, n in _ARRANGEMENTS
+]
 
 
-@pytest.mark.parametrize(
-    "tag, n",
-    _ARRANGEMENTS,
-    ids=[_TAG_IDS.get(tag, "gl_arrangement") + (f"-{n}" if n else "") for tag, n in _ARRANGEMENTS],
-)
+@pytest.mark.parametrize("tag, n", _ARRANGEMENTS, ids=_ARRANGEMENT_IDS)
 def test_flats_match_the_cells_of_the_same_arrangement(tag, n):
     if tag is None:
         arr = gl_arrangement(n)
@@ -650,6 +670,70 @@ def test_flats_match_the_cells_of_the_same_arrangement(tag, n):
     flats, counts = enumerate_generic_flats(arr)
     assert dict(flats) == _flats_from_cells(arr)
     assert sum(counts) == len(flats)
+
+
+def _reference_closure(arr, T):
+    """The per-wall rule: one LP per wall that the rows leave open and no
+    earlier witness shows positive, then one kernel of the rows plus the
+    implicit walls in Q^dim."""
+    rows = [arr.cuts[c] for c in sorted(T)] + list(arr.ambient_eqs)
+    free = kernel_basis(rows, arr.dim)
+    equalities = []
+    points = []
+    for wall in arr.walls:
+        if all(dot(wall, k) == 0 for k in free):
+            equalities.append(wall)
+        elif not any(dot(wall, p) for p in points):
+            point = cone_positive(rows, wall, arr.walls, arr.dim)
+            if point is None:
+                equalities.append(wall)
+            else:
+                points.append(point)
+    span = kernel_basis(rows + equalities, arr.dim)
+    tight = frozenset(
+        c for c, cut in enumerate(arr.cuts) if all(dot(cut, k) == 0 for k in span)
+    )
+    return tight, len(span)
+
+
+def _check_closure(arr, T):
+    log = []
+    with _record_cone_positive(log):
+        result = flat_oracle._closure(arr, T, {})
+    assert result == _reference_closure(arr, T)
+    # every LP is posed in the kernel's coordinates, with no equality rows,
+    # and only the last sum-of-walls round can be infeasible
+    assert all(eq_rows == [] for eq_rows, _ in log)
+    assert sum(none for _, none in log) <= 1
+
+
+@st.composite
+def small_arrangements(draw):
+    """An integer Arrangement in Q^1..Q^4 with up to five cuts and walls,
+    with or without ambient equalities, and a set T of its cuts."""
+    dim = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    cuts = draw(st.lists(row, min_size=1, max_size=5))
+    walls = draw(st.lists(row, max_size=5))
+    ambient_eqs = draw(st.lists(row, max_size=2))
+    T = draw(st.sets(st.integers(0, len(cuts) - 1)))
+    return Arrangement(dim, cuts, walls, ambient_eqs), frozenset(T)
+
+
+@example((gl_arrangement(3), frozenset({1})))
+@example((Arrangement(2, [[1, 0]], [[1, 0], [-1, 0], [0, 1], [0, -1]]), frozenset()))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_arrangements())
+def test_closure_matches_the_per_wall_rule(case):
+    _check_closure(*case)
+
+
+@pytest.mark.parametrize("tag, n", _ARRANGEMENTS, ids=_ARRANGEMENT_IDS)
+def test_closure_on_weight_systems_matches_the_per_wall_rule(tag, n):
+    arr = gl_arrangement(n) if tag is None else wsys.system_arrangement(weight_system(tag, n))
+    for size in range(4):
+        for T in itertools.combinations(range(len(arr.cuts)), size):
+            _check_closure(arr, frozenset(T))
 
 
 def test_arrangement_rows_have_the_ambient_length():
