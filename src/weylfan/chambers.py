@@ -104,19 +104,7 @@ def all_chambers(n: int) -> list[Chamber]:
 
 def _parse_tableau(T: Union[str, Sequence[Sequence[int]]]) -> list[list[int]]:
     if isinstance(T, str):
-        lines = [line.strip() for line in T.splitlines() if line.strip()]
-        rows = []
-        for line in lines:
-            row = []
-            for ch in line:
-                if ch == "+":
-                    row.append(1)
-                elif ch == "-":
-                    row.append(-1)
-                else:
-                    raise ValueError(f"unexpected character {ch!r} in tableau text")
-            rows.append(row)
-        return rows
+        T = [line.strip() for line in T.splitlines() if line.strip()]
     rows = []
     for raw in T:
         row = []

@@ -10,17 +10,15 @@ Every value printed to stdout is exact and deterministic; anything that
 depends on the clock goes to stderr.  Exit codes: 0 success, 2 usage or
 refused request, 3 a cross-check disagreed, 4 output could not be written.
 
-The oracle caps are a flag, then a ``WEYLFAN_ORACLE_CAP_*`` environment
-variable, then the default, ``CELL_CAP`` or ``FLAT_CAP`` of the oracle
-modules; they are read only by the commands that run the oracle, and a
-cap flag is refused (exit 2) where its oracle does not run.
+An oracle cap is its flag, else the default, ``CELL_CAP`` or ``FLAT_CAP``
+of the oracle modules; a cap flag is refused (exit 2) where its oracle does
+not run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Optional
@@ -60,32 +58,18 @@ class UsageError(Exception):
     pass
 
 
-# table -> (flag destination, environment variable, default) of its oracle cap
+# table -> (flag destination, default) of its oracle cap
 _ORACLE_CAPS = {
-    "faces": ("oracle_cap_cells", "WEYLFAN_ORACLE_CAP_CELLS", CELL_CAP),
-    "flats": ("oracle_cap_flats", "WEYLFAN_ORACLE_CAP_FLATS", FLAT_CAP),
+    "faces": ("oracle_cap_cells", CELL_CAP),
+    "flats": ("oracle_cap_flats", FLAT_CAP),
 }
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"{name} must be an integer, got {raw!r}") from None
-
-
 def _oracle_cap(args: argparse.Namespace, table: str) -> int:
-    """Cap of the oracle behind one table: flag, then environment, then default.
-
-    Resolved only where that oracle runs, so a malformed variable cannot
-    break a command that never consults it.
-    """
-    dest, env, default = _ORACLE_CAPS[table]
+    """Cap of the oracle behind one table: its flag, else the default."""
+    dest, default = _ORACLE_CAPS[table]
     cap = getattr(args, dest)
-    return _env_int(env, default) if cap is None else cap
+    return default if cap is None else cap
 
 
 def _emit(text: str, out: Optional[str]) -> int:
@@ -150,7 +134,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(f"k must be between 0 and {n}", file=sys.stderr)
         return 2
     # a cap flag is read only by its own table's oracle
-    for own, (dest, _, _) in _ORACLE_CAPS.items():
+    for own, (dest, _) in _ORACLE_CAPS.items():
         if getattr(args, dest) is None:
             continue
         flag = "--" + dest.replace("_", "-")
@@ -383,17 +367,11 @@ def _verify_tables() -> int:
 
 
 def _verify_oracle(n: int, args: argparse.Namespace) -> int:
-    try:
-        cap_cells = _oracle_cap(args, "faces")
-        cap_flats = _oracle_cap(args, "flats")
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     started = time.monotonic()
     try:
-        cells = enumerate_cells(n, cap=cap_cells)
+        cells = enumerate_cells(n, cap=_oracle_cap(args, "faces"))
         cells_done = time.monotonic()
-        flats = enumerate_flats_geometric(n, cap=cap_flats)
+        flats = enumerate_flats_geometric(n, cap=_oracle_cap(args, "flats"))
         flats_done = time.monotonic()
     except CapExceeded as exc:
         print(str(exc), file=sys.stderr)

@@ -71,17 +71,17 @@ class CellEnumeration:
     stats: dict = field(default_factory=dict)
 
 
-def _split_rows(cut_rows, facet_rows, cut_signs, facet_signs):
+def _split_rows(rows, signs):
+    """The rows of a sign vector, or of a prefix of it: the equalities (sign
+    0) and the strict rows (sign +, and sign - negated)."""
     eq, strict = [], []
-    for row, s in zip(cut_rows, cut_signs):
+    for row, s in zip(rows, signs):
         if s == 0:
             eq.append(row)
         elif s > 0:
             strict.append(row)
         else:
             strict.append(tuple(-v for v in row))
-    for row, s in zip(facet_rows, facet_signs):
-        (eq if s == 0 else strict).append(row)
     return eq, strict
 
 
@@ -91,7 +91,7 @@ def cell_feasible(n: int, condition: SignCondition, *, stats=None):
         raise ValueError(f"a rank-{condition.n} sign condition at rank {n}")
     arr = gl_arrangement(n)
     eq, strict = _split_rows(
-        arr.cuts, arr.walls, condition.weight_signs, condition.root_signs
+        arr.cuts + arr.walls, condition.weight_signs + condition.root_signs
     )
     witness = strict_feasible(eq, strict, [], n, stats=stats)
     return witness is not None, witness
@@ -105,33 +105,25 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
     """
     if stats is None:
         stats = {}
-    dim, cut_rows, facet_rows = arr.dim, arr.cuts, arr.walls
-    n_cuts = len(cut_rows)
-    n_slots = n_cuts + len(facet_rows)
-
-    def slot_rows(signs):
-        cut_signs = signs[:n_cuts]
-        facet_signs = signs[n_cuts:]
-        eq, strict = _split_rows(cut_rows, facet_rows, cut_signs, facet_signs)
-        eq = list(arr.ambient_eqs) + eq
-        # unassigned facet slots still confine the point to the closed cone
-        weak = list(facet_rows[len(facet_signs):])
-        return eq, strict, weak
+    dim, ambient = arr.dim, list(arr.ambient_eqs)
+    rows = arr.cuts + arr.walls  # one slot per row: cuts, then walls
+    n_cuts, n_slots = len(arr.cuts), len(rows)
 
     def check(signs, inherited):
         """(witness, a positive int multiple of it) for signs, or None.  The
         inherited witness realizes every earlier sign, so only the new slot
         is tested against it; failing that, one LP decides."""
+        pos = len(signs) - 1
         if inherited is not None:
-            pos = len(signs) - 1
-            row = cut_rows[pos] if pos < n_cuts else facet_rows[pos - n_cuts]
-            val = dot(row, inherited[1])
+            val = dot(rows[pos], inherited[1])
             if (val > 0) - (val < 0) == signs[pos]:
                 stats["witness_hits"] = stats.get("witness_hits", 0) + 1
                 return inherited
         stats["nodes"] = stats.get("nodes", 0) + 1
-        eq, strict, weak = slot_rows(signs)
-        witness = strict_feasible(eq, strict, weak, dim, stats=stats)
+        eq, strict = _split_rows(rows, signs)
+        # unassigned wall slots still confine the point to the closed cone
+        weak = rows[max(pos + 1, n_cuts):]
+        witness = strict_feasible(ambient + eq, strict, weak, dim, stats=stats)
         return None if witness is None else (witness, integer_row(witness))
 
     def children(node):
@@ -149,10 +141,9 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
     out = []
     for signs, found in depth_first(((), None), children):
         if len(signs) == n_slots:
-            cut_signs, facet_signs = signs[:n_cuts], signs[n_cuts:]
-            eq, _ = _split_rows(cut_rows, facet_rows, cut_signs, facet_signs)
-            d = dim - rank_of(list(arr.ambient_eqs) + eq)
-            out.append((cut_signs, facet_signs, d, found and found[0]))
+            eq, _ = _split_rows(rows, signs)
+            d = dim - rank_of(ambient + eq)
+            out.append((signs[:n_cuts], signs[n_cuts:], d, found and found[0]))
     counts = [0] * (dim + 1)
     for _, _, d, _ in out:
         counts[d] += 1
@@ -216,14 +207,11 @@ def adjacency_from_cells(cells: CellEnumeration):
             idx = 2 * idx + (1 if v > 0 else 0)
         return idx
 
+    def signs(cell: Cell) -> tuple[int, ...]:
+        return cell.condition.weight_signs + cell.condition.root_signs
+
     def extends(chamber: Cell, wall: Cell) -> bool:
-        for a, b in zip(chamber.condition.weight_signs, wall.condition.weight_signs):
-            if b != 0 and a != b:
-                return False
-        for a, b in zip(chamber.condition.root_signs, wall.condition.root_signs):
-            if b != 0 and a != b:
-                return False
-        return True
+        return all(b == 0 or a == b for a, b in zip(signs(chamber), signs(wall)))
 
     index = {id(c): chamber_index(c) for c in top}
     edges = set()

@@ -25,8 +25,11 @@ when it is orthogonal to the whole kernel.
 
 Two cut sets give the same flat exactly when they have the same tight
 closure (the full set of cuts vanishing on the intersection), so closures
-are the deduplication key; the search grows closed sets one hyperplane at a
-time, which reaches every flat because closure is monotone.
+are the deduplication key.  The search starts from the closure of the empty
+set, the cone itself, whose tight set holds every cut that vanishes on the
+whole cone and whose dimension counts the walls' implicit equalities too.
+It grows closed sets one hyperplane at a time, which reaches every flat
+because closure is monotone.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Optional
 
 from .arrangement import Arrangement, gl_arrangement, weight_indices
 from .cells import CapExceeded
-from .linalg import dot, kernel_basis, rank_of
+from .linalg import dot, kernel_basis, lift, rank_of, restrict
 from .simplex import cone_positive
 
 FLAT_CAP = 7  # default largest rank of enumerate_flats_geometric
@@ -64,8 +67,7 @@ def _closure(arr: Arrangement, T, stats):
     free = kernel_basis(rows, arr.dim)
     d = len(free)
     # C_T in the coordinates of the kernel; walls that vanish there are implied
-    walls = [[dot(wall, b) for b in free] for wall in arr.walls]
-    walls = [w for w in walls if any(w)]
+    walls = [w for w in restrict(arr.walls, free) if any(w)]
     implicit = walls
     for j in range(d):
         for sign in (1, -1):
@@ -80,10 +82,7 @@ def _closure(arr: Arrangement, T, stats):
     span = free
     if implicit:
         # the kernel of the implicit walls in Q^d, taken back to Q^dim
-        span = [
-            tuple(sum(c * b[i] for c, b in zip(h, free)) for i in range(arr.dim))
-            for h in kernel_basis(implicit, d)
-        ]
+        span = [lift(h, free) for h in kernel_basis(implicit, d)]
     tight = frozenset(
         c
         for c, cut in enumerate(arr.cuts)
@@ -100,9 +99,9 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[dict] = None):
     """
     if stats is None:
         stats = {}
-    top = arr.dim - rank_of(arr.ambient_eqs)
-    cache: dict = {}
-    dims = {frozenset(): top}
+    root = frozenset()
+    cache = {root: _closure(arr, root, stats)}
+    dims = dict(cache.values())  # closed tight set -> dimension
     queue = deque(dims)
     while queue:
         current = queue.popleft()
@@ -117,7 +116,8 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[dict] = None):
                 dims[closed] = dim
                 queue.append(closed)
     flats = sorted(dims.items(), key=lambda kv: (kv[1], len(kv[0]), sorted(kv[0])))
-    counts = [0] * (top + 1)
+    # one slot per dimension, up to that of the space {ambient_eqs = 0}
+    counts = [0] * (arr.dim - rank_of(arr.ambient_eqs) + 1)
     for _, dim in flats:
         counts[dim] += 1
     stats["flats"] = len(flats)

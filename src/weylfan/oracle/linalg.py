@@ -10,11 +10,14 @@ Comp. 22; Edmonds 1967, J. Res. NBS 71B).  `_reduce` is the one elimination
 loop: it brings rows to reduced row echelon form up to one factor per row.
 `rank_of` counts its pivots, and `kernel_basis` reads one kernel vector per
 free column, a primitive int vector, so products against it stay int.
+`restrict` takes rows into the coordinates of such a basis, and `lift`
+takes a point of those coordinates back.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import mul
 
 
 def integer_row(row) -> list[int]:
@@ -90,6 +93,18 @@ def kernel_basis(rows, dim: int) -> tuple[tuple[int, ...], ...]:
     return tuple(basis)
 
 
+def restrict(rows, basis) -> list[list[int]]:
+    """Each row, cleared of its denominators, as its products with the basis
+    vectors: the row as a functional on the coordinates of the span."""
+    return [[dot(row, b) for b in basis] for row in map(integer_row, rows)]
+
+
+def lift(coeffs, basis) -> list:
+    """The point sum_j coeffs[j] * basis[j] back in Q^dim; basis is not
+    empty, and int coefficients give an int point."""
+    return [dot(coeffs, col) for col in zip(*basis)]
+
+
 def dot(u, v):
     """Exact inner product; int vectors stay int."""
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))

@@ -12,11 +12,13 @@ termination.
 
 Both questions share one textbook tableau over the kernel of the
 equalities.  Its variables are y = p - q with x = sum_j y_j B_j, the B_j the
-primitive int kernel vectors of `kernel_basis`.  Every input row enters once
-through `linalg.integer_row`, so it stands for its positive multiples as
-every row does in `linalg`.  Every slack, margin and cap coefficient is 1,
-and the right-hand side is (0, ..., 0, 1): zero on the strict and weak rows,
-one on the cap.
+primitive int kernel vectors of `kernel_basis`: rows go in by
+`linalg.restrict` and the solution comes back by `linalg.lift`.  With no
+equalities the B_j are the unit vectors, so neither is needed.  Every input
+row enters once through `linalg.integer_row`, so it stands for its positive
+multiples as every row does in `linalg`.  Every slack, margin and cap
+coefficient is 1, and the right-hand side is (0, ..., 0, 1): zero on the
+strict and weak rows, one on the cap.
 
 The tableau is exact and fraction-free: its rows are integer rows that stand
 for their positive multiples, and a pivot is one `linalg.eliminate` step per
@@ -30,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import dot, eliminate, integer_row, kernel_basis
+from .linalg import dot, eliminate, integer_row, kernel_basis, lift, restrict
 
 _ZERO = Fraction(0)
 
@@ -112,34 +114,26 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
         basis[leaving] = entering
 
 
-def _kernel_point(solution, basis_vecs, dim):
-    """The point sum_j (p_j - q_j) B_j of an LP solution, as Fractions and as
-    a positive integer multiple of it."""
-    d = len(basis_vecs)
-    coeffs = [solution[j] - solution[d + j] for j in range(d)]
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
-    ints = [sum(a * b[i] for a, b in zip(nums, basis_vecs)) for i in range(dim)]
-    return tuple(Fraction(v, den) for v in ints), ints
-
-
-def _project(rows, basis_vecs):
-    """Each row, cleared of its denominators, as its products with the B_j."""
-    return [[dot(row, b) for b in basis_vecs] for row in map(integer_row, rows)]
-
-
 def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
     """Witness of {eq = 0, strict > 0, weak >= 0}, or None: the margin LP
-    described in the module docstring, over the kernel of the equalities."""
+    described in the module docstring, over the kernel of the equalities.
+    With no equalities the kernel is the identity, and the rows enter as
+    they are."""
     if stats is not None:
         stats["lp_calls"] = stats.get("lp_calls", 0) + 1
-    basis_vecs = kernel_basis(eq_rows, dim)
-    d = len(basis_vecs)
+    if eq_rows:
+        basis_vecs = kernel_basis(eq_rows, dim)
+        d = len(basis_vecs)
+        strict_proj = restrict(strict_rows, basis_vecs)
+        weak_proj = restrict(weak_rows, basis_vecs)
+    else:
+        basis_vecs, d = None, dim
+        strict_proj = [integer_row(row) for row in strict_rows]
+        weak_proj = [integer_row(row) for row in weak_rows]
     zero = tuple([_ZERO] * dim)
     if d == 0:
         # the origin is the only point, and no strict row is positive there
         return None if strict_rows else zero
-    strict_proj = _project(strict_rows, basis_vecs)
     if any(all(v == 0 for v in row) for row in strict_proj):
         return None
     if not strict_rows:
@@ -154,7 +148,7 @@ def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
     # the strict rows shifted by the margin, the weak rows and the cap
     pad = [0] * (len(head) - 2 * d)
     bodies = [[-v for v in r] + r + [1] for r in shifted]
-    bodies += [[-v for v in r] + r + pad for r in _project(weak_rows, basis_vecs)]
+    bodies += [[-v for v in r] + r + pad for r in weak_proj]
     bodies.append(head)
     m = len(bodies)
     rows = [body + [0] * r + [1] + [0] * (m - 1 - r) for r, body in enumerate(bodies)]
@@ -163,7 +157,13 @@ def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
     value, solution = simplex_max(rows, [0] * (m - 1) + [1], objective, basis, stats=stats)
     if value <= 0:
         return None
-    witness, scaled = _kernel_point(solution, basis_vecs, dim)
+    # the point x = sum_j (p_j - q_j) B_j, and a positive int multiple of it
+    coeffs = [solution[j] - solution[d + j] for j in range(d)]
+    den = lcm(*(c.denominator for c in coeffs))
+    scaled = integer_row(coeffs)
+    if basis_vecs is not None:
+        scaled = lift(scaled, basis_vecs)
+    witness = tuple(Fraction(v, den) for v in scaled)
     if (
         any(dot(row, scaled) != 0 for row in eq_rows)
         or any(dot(row, scaled) <= 0 for row in strict_rows)

@@ -200,10 +200,6 @@ class ProportionalityReport:
 
 
 def _proportional(w: Vector, a: Vector) -> Optional[Fraction]:
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] * a[j] != w[j] * a[i]:
-                return None
     for k in range(len(a)):
         if a[k] != 0:
             c = w[k] / a[k]

@@ -521,11 +521,11 @@ PINNED_CELLS = {
 }
 PINNED_FLATS = {
     4: (
-        {"lp_calls": 101, "pivots": 97, "flats": 34, "closures": 187},
+        {"lp_calls": 102, "pivots": 99, "flats": 34, "closures": 188},
         "8ac8037f6a8ecfa2575265236d1797a92d2d61dc7ca90628473731e8023b11d1",
     ),
     5: (
-        {"lp_calls": 641, "pivots": 702, "flats": 89, "closures": 834},
+        {"lp_calls": 643, "pivots": 707, "flats": 89, "closures": 835},
         "03577b47b50a2506374ae45dca672fb80392b717493372df0ab5457fb116a5a2",
     ),
 }
@@ -661,9 +661,23 @@ _ARRANGEMENT_IDS = [
 ]
 
 
-@pytest.mark.parametrize("tag, n", _ARRANGEMENTS, ids=_ARRANGEMENT_IDS)
+# cones whose whole-cone flat has a nonempty tight set or implicit walls
+_DEGENERATE = {
+    "zero_cut": Arrangement(2, ((0, 0),), ()),
+    "ambient_line": Arrangement(1, ((1,),), (), ((1,),)),
+    "implicit_wall": Arrangement(2, ((1, 0),), ((0, 1), (0, -1))),
+}
+
+
+@pytest.mark.parametrize(
+    "tag, n",
+    _ARRANGEMENTS + [(arr, None) for arr in _DEGENERATE.values()],
+    ids=_ARRANGEMENT_IDS + list(_DEGENERATE),
+)
 def test_flats_match_the_cells_of_the_same_arrangement(tag, n):
-    if tag is None:
+    if isinstance(tag, Arrangement):
+        arr = tag
+    elif tag is None:
         arr = gl_arrangement(n)
     else:
         arr = wsys.system_arrangement(weight_system(tag, n))
