@@ -8,7 +8,10 @@ degenerate weight-system certificates).
 
 Every value printed to stdout is exact and deterministic; anything that
 depends on the clock goes to stderr.  Exit codes: 0 success, 2 usage or
-refused request, 3 a cross-check disagreed, 4 output could not be written.
+refused request, 3 a cross-check disagreed, 4 stdout or the ``--out`` file
+could not be written.  A refusal is raised as ``UsageError`` (or the oracle's
+``CapExceeded``) wherever it is decided; ``main`` alone reports it.  Every
+subcommand writes its stdout through ``_emit``.
 
 An oracle cap is its flag, else the default, ``CELL_CAP`` or ``FLAT_CAP``
 of the oracle modules; a cap flag is refused (exit 2) where its oracle does
@@ -44,6 +47,9 @@ ENUMERATION_BOUND = 10  # largest rank where count --method enumerate walks obje
 GRAPH_BOUND = 12
 RECORD_LIMIT = 100000
 
+# the computing paths of count, in the order --method all runs them
+_METHODS = ("recurrence", "series", "closed-form", "enumerate", "oracle")
+
 _PROVENANCE_BY_METHOD = {
     "recurrence": "recurrence",
     "series": "rational-expansion",
@@ -55,7 +61,7 @@ _PROVENANCE_BY_METHOD = {
 
 
 class UsageError(Exception):
-    pass
+    """A refused request; main prints its message and exits 2."""
 
 
 # table -> (flag destination, default) of its oracle cap
@@ -72,15 +78,27 @@ def _oracle_cap(args: argparse.Namespace, table: str) -> int:
     return default if cap is None else cap
 
 
+def _paths(table: str):
+    """Recurrence, series, object enumerator and oracle of one table.
+
+    The names are looked up at each call, so a rebinding of the module
+    attributes (perfbench's tracer makes one) is seen here."""
+    if table == "faces":
+        return ct.g_recurrence, ct.g_series, enumerate_chains, enumerate_cells
+    return ct.h_recurrence, ct.h_series, enumerate_ensembles, enumerate_flats_geometric
+
+
 def _emit(text: str, out: Optional[str]) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return 0
+    """Write text to stdout or to the --out file; 4 when it cannot be written."""
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if out is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
-        print(f"cannot write {out}: {exc}", file=sys.stderr)
+        print(f"cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
         return 4
     return 0
 
@@ -89,18 +107,23 @@ def _jsonline(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _check_k(k: Optional[int], n: int) -> None:
+    if k is not None and not 0 <= k <= n:
+        raise UsageError(f"k must be between 0 and {n}")
+
+
 # --- count -------------------------------------------------------------------
 
 
 def _count_row(table: str, n: int, method: str, args: argparse.Namespace) -> list[int]:
     """One table row by one method; raises UsageError when the method does
-    not apply at this rank (or at all)."""
+    not apply at this rank (or at all), CapExceeded beyond an oracle cap."""
+    recurrence, series, objects, oracle = _paths(table)
     if method == "recurrence":
-        fn = ct.g_recurrence if table == "faces" else ct.h_recurrence
-        return [fn(n, k) for k in range(n + 1)]
+        return [recurrence(n, k) for k in range(n + 1)]
     if method == "series":
-        series = ct.g_series(n) if table == "faces" else ct.h_series(n)
-        return [series.coeff(n, k) for k in range(n + 1)]
+        expansion = series(n)
+        return [expansion.coeff(n, k) for k in range(n + 1)]
     if method == "closed-form":
         if table == "flats":
             raise UsageError("no closed form is implemented for the flat table")
@@ -110,71 +133,48 @@ def _count_row(table: str, n: int, method: str, args: argparse.Namespace) -> lis
             raise UsageError(
                 f"object enumeration is limited to n <= {ENUMERATION_BOUND}"
             )
-        if table == "faces":
-            return [sum(1 for _ in enumerate_chains(n, k)) for k in range(n + 1)]
-        return [sum(1 for _ in enumerate_ensembles(n, k)) for k in range(n + 1)]
-    assert method == "oracle"
+        return [sum(1 for _ in objects(n, k)) for k in range(n + 1)]
     if n < 1:
-        raise UsageError("the geometric oracle needs n >= 1")
-    cap = _oracle_cap(args, table)
-    try:
-        if table == "faces":
-            return enumerate_cells(n, cap=cap).counts
-        return enumerate_flats_geometric(n, cap=cap).counts
-    except CapExceeded as exc:
-        raise UsageError(str(exc)) from None
+        raise UsageError("needs n >= 1")
+    return oracle(n, cap=_oracle_cap(args, table)).counts
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     table, n = args.table, args.n
     if n < 0:
-        print("n must be nonnegative", file=sys.stderr)
-        return 2
-    if args.k is not None and not 0 <= args.k <= n:
-        print(f"k must be between 0 and {n}", file=sys.stderr)
-        return 2
+        raise UsageError("n must be nonnegative")
+    _check_k(args.k, n)
     # a cap flag is read only by its own table's oracle
     for own, (dest, _) in _ORACLE_CAPS.items():
         if getattr(args, dest) is None:
             continue
         flag = "--" + dest.replace("_", "-")
         if table != own:
-            print(f"count {flag} needs --{own}", file=sys.stderr)
-            return 2
+            raise UsageError(f"count {flag} needs --{own}")
         if args.method not in ("oracle", "all"):
-            print(f"count {flag} needs --method oracle or all", file=sys.stderr)
-            return 2
+            raise UsageError(f"count {flag} needs --method oracle or all")
 
-    try:
-        if args.method == "all":
-            methods = ["recurrence", "series"]
-            if table == "faces":
-                methods.append("closed-form")
-            if n <= ENUMERATION_BOUND:
-                methods.append("enumerate")
-            if n < 1:
-                print("skipped: oracle (needs n >= 1)", file=sys.stderr)
-            elif n <= (cap := _oracle_cap(args, table)):
-                methods.append("oracle")
-            else:
-                print(f"skipped: oracle (cap {cap})", file=sys.stderr)
-            rows = {m: _count_row(table, n, m, args) for m in methods}
-            reference = rows["recurrence"]
-            for m, row in rows.items():
-                if row != reference:
-                    print(
-                        f"method disagreement on {table} n={n}: "
-                        f"recurrence gives {reference}, {m} gives {row}",
-                        file=sys.stderr,
-                    )
-                    return 3
-            print(f"cross-checked: {', '.join(methods)}", file=sys.stderr)
-            row = reference
-        else:
-            row = _count_row(table, n, args.method, args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    if args.method == "all":
+        rows = {}
+        for method in _METHODS:
+            try:
+                rows[method] = _count_row(table, n, method, args)
+            except UsageError as exc:
+                print(f"skipped: {method} ({exc})", file=sys.stderr)
+            except CapExceeded:
+                print(f"skipped: {method} (cap {_oracle_cap(args, table)})", file=sys.stderr)
+        row = rows["recurrence"]
+        for method, other in rows.items():
+            if other != row:
+                print(
+                    f"method disagreement on {table} n={n}: "
+                    f"recurrence gives {row}, {method} gives {other}",
+                    file=sys.stderr,
+                )
+                return 3
+        print(f"cross-checked: {', '.join(rows)}", file=sys.stderr)
+    else:
+        row = _count_row(table, n, args.method, args)
 
     provenance = _PROVENANCE_BY_METHOD[args.method]
     if args.k is None:
@@ -253,30 +253,24 @@ def _record_text(kind: str, rec: dict) -> str:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     kind, n = args.kind, args.n
     if n < 1:
-        print("n must be at least 1", file=sys.stderr)
-        return 2
+        raise UsageError("n must be at least 1")
     if kind == "chambers":
         if args.k is not None:
-            print("chambers have no dimension filter; drop -k", file=sys.stderr)
-            return 2
+            raise UsageError("chambers have no dimension filter; drop -k")
         estimate = 2**n
         records = _chamber_records(n)
     else:
-        if args.k is not None and not 0 <= args.k <= n:
-            print(f"k must be between 0 and {n}", file=sys.stderr)
-            return 2
+        _check_k(args.k, n)
         dims = range(n + 1) if args.k is None else [args.k]
-        count_fn = ct.g_recurrence if kind == "faces" else ct.h_recurrence
-        estimate = sum(count_fn(n, k) for k in dims)
+        recurrence = _paths(kind)[0]
+        estimate = sum(recurrence(n, k) for k in dims)
         records = _face_records(n, dims) if kind == "faces" else _flat_records(n, dims)
 
     if estimate > args.limit:
-        print(
+        raise UsageError(
             f"refusing to enumerate {estimate} records (limit {args.limit}); "
-            f"raise --limit to proceed",
-            file=sys.stderr,
+            f"raise --limit to proceed"
         )
-        return 2
 
     if args.format == "json":
         lines = (_jsonline(rec) for rec in records)
@@ -291,14 +285,11 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_graph(args: argparse.Namespace) -> int:
     n = args.n
     if n < 1:
-        print("n must be at least 1", file=sys.stderr)
-        return 2
+        raise UsageError("n must be at least 1")
     if n > GRAPH_BOUND:
-        print(
-            f"the adjacency graph has 2^{n} nodes; supported up to n = {GRAPH_BOUND}",
-            file=sys.stderr,
+        raise UsageError(
+            f"the adjacency graph has 2^{n} nodes; supported up to n = {GRAPH_BOUND}"
         )
-        return 2
     if args.format == "dot":
         text = inc.adjacency_dot(n)
     else:
@@ -343,8 +334,7 @@ def _verify_tables() -> int:
         )
 
     for entry in ct.errata_entries():
-        fn = ct.g_recurrence if entry["table"] == "faces" else ct.h_recurrence
-        computed = fn(entry["n"], entry["k"])
+        computed = _paths(entry["table"])[0](entry["n"], entry["k"])
         if computed != entry["adopted"]:
             print(
                 f"errata entry {entry['id']} adopts {entry['adopted']} "
@@ -362,91 +352,73 @@ def _verify_tables() -> int:
             f"printed {deviant}; adopted {entry['adopted']}"
         )
     lines.append("ok")
-    sys.stdout.write("".join(line + "\n" for line in lines))
-    return 0
+    return _emit("".join(line + "\n" for line in lines), None)
 
 
 def _verify_oracle(n: int, args: argparse.Namespace) -> int:
-    started = time.monotonic()
-    try:
-        cells = enumerate_cells(n, cap=_oracle_cap(args, "faces"))
-        cells_done = time.monotonic()
-        flats = enumerate_flats_geometric(n, cap=_oracle_cap(args, "flats"))
-        flats_done = time.monotonic()
-    except CapExceeded as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    expected_cells = [ct.g_recurrence(n, k) for k in range(n + 1)]
-    expected_flats = [ct.h_recurrence(n, k) for k in range(n + 1)]
-    report = {
-        "n": n,
-        "cells": {
-            "counts": cells.counts,
-            "expected": expected_cells,
-            "match": cells.counts == expected_cells,
-            "stats": cells.stats,
-        },
-        "flats": {
-            "counts": flats.counts,
-            "expected": expected_flats,
-            "match": flats.counts == expected_flats,
-            "stats": flats.stats,
-        },
-    }
+    report = {"n": n}
+    elapsed = []
+    for table, part in (("faces", "cells"), ("flats", "flats")):
+        recurrence, _, _, oracle = _paths(table)
+        started = time.monotonic()
+        found = oracle(n, cap=_oracle_cap(args, table))
+        elapsed.append(f"{part} {time.monotonic() - started:.2f}s")
+        expected = [recurrence(n, k) for k in range(n + 1)]
+        report[part] = {
+            "counts": found.counts,
+            "expected": expected,
+            "match": found.counts == expected,
+            "stats": found.stats,
+        }
     report["match"] = report["cells"]["match"] and report["flats"]["match"]
-    sys.stdout.write(_jsonline(report) + "\n")
-    print(
-        f"elapsed: cells {cells_done - started:.2f}s "
-        f"flats {flats_done - cells_done:.2f}s",
-        file=sys.stderr,
-    )
-    return 0 if report["match"] else 3
+    code = _emit(_jsonline(report) + "\n", None)
+    print(f"elapsed: {' '.join(elapsed)}", file=sys.stderr)
+    return code or (0 if report["match"] else 3)
 
 
 def _verify_degenerate() -> int:
     def label(tag, n):
         return tag if n is None else f"{tag} n={n}"
 
+    lines = []
     failures = 0
     classical = (wsys.TAG_SO_ODD_V, wsys.TAG_SP_V, wsys.TAG_SP_LAMBDA, wsys.TAG_SP_BOTH)
     for tag, n in [(tag, 2) for tag in classical] + [(wsys.TAG_F4, None), (wsys.TAG_G2, None)]:
         report = check_weights_proportional_to_roots(weight_system(tag, n))
         status = "proportional" if report.ok else "NOT proportional"
         failures += 0 if report.ok else 1
-        print(
+        lines.append(
             f"{label(tag, n)}: {status}, certificates={len(report.certificates)}, "
             f"zero-weights={report.zero_weights}"
         )
     gl = check_weights_proportional_to_roots(weight_system(wsys.TAG_GL, 2))
     if gl.ok:
-        print(f"{wsys.TAG_GL} n=2: proportional, which should not happen")
+        lines.append(f"{wsys.TAG_GL} n=2: proportional, which should not happen")
         failures += 1
     else:
-        print(
+        lines.append(
             f"{wsys.TAG_GL} n=2: not proportional "
             f"({len(gl.failures)} weights off the walls), as intended"
         )
 
     simplex_row = [simplex_counts(2, k) for k in range(3)]
-    print(f"simplex row n=2: {simplex_row}")
+    lines.append(f"simplex row n=2: {simplex_row}")
     for tag, n in ((wsys.TAG_SO_ODD_V, 2), (wsys.TAG_SP_BOTH, 2), (wsys.TAG_G2, None)):
         counts = chamber_cell_counts(tag, n)
         verdict = "matches" if counts == simplex_row else "MISMATCH"
         failures += 0 if counts == simplex_row else 1
-        print(f"{label(tag, n)} chamber cells: {counts} ({verdict})")
-    print("ok" if failures == 0 else f"{failures} check(s) failed")
-    return 0 if failures == 0 else 3
+        lines.append(f"{label(tag, n)} chamber cells: {counts} ({verdict})")
+    lines.append("ok" if failures == 0 else f"{failures} check(s) failed")
+    code = _emit("".join(line + "\n" for line in lines), None)
+    return code or (0 if failures == 0 else 3)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.oracle:
         if args.n is None:
-            print("verify --oracle needs -n", file=sys.stderr)
-            return 2
+            raise UsageError("verify --oracle needs -n")
         if args.n < 1:
-            print("n must be at least 1", file=sys.stderr)
-            return 2
+            raise UsageError("n must be at least 1")
         return _verify_oracle(args.n, args)
     # the rank and the caps are the oracle's; no other check takes them
     for flag, value in (
@@ -455,8 +427,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("--oracle-cap-flats", args.oracle_cap_flats),
     ):
         if value is not None:
-            print(f"verify {flag} needs --oracle", file=sys.stderr)
-            return 2
+            raise UsageError(f"verify {flag} needs --oracle")
     if args.non_simply_laced:
         return _verify_degenerate()
     return _verify_tables()
@@ -486,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("-k", type=int, default=None)
     count.add_argument(
         "--method",
-        choices=["recurrence", "series", "closed-form", "enumerate", "oracle", "all"],
+        choices=[*_METHODS, "all"],
         default="recurrence",
     )
     count.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -526,7 +497,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (UsageError, CapExceeded) as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -240,7 +240,9 @@ def simplex_counts(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _canonical_hyperplane(vec: Vector) -> Vector:
+def _canonical_hyperplane(vec) -> tuple[int, ...]:
+    """The primitive int normal of vec whose first nonzero entry is positive
+    (all zeros for the zero vector)."""
     ints = integer_row(vec)
     g = gcd(*ints)
     if g:
@@ -248,19 +250,17 @@ def _canonical_hyperplane(vec: Vector) -> Vector:
     lead = next((v for v in ints if v != 0), 0)
     if lead < 0:
         ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
+    return tuple(ints)
 
 
-def dedupe_hyperplanes(vectors) -> tuple[Vector, ...]:
-    """Distinct hyperplanes from a weight list: primitive normals up to sign,
-    zero vectors dropped, first-seen order kept."""
+def dedupe_hyperplanes(vectors) -> tuple[tuple[int, ...], ...]:
+    """Distinct hyperplanes from a weight list of ints and Fractions:
+    primitive int normals up to sign, zero vectors dropped, first-seen order
+    kept."""
     seen = []
     for vec in vectors:
-        fr = tuple(Fraction(v) for v in vec)
-        if all(v == 0 for v in fr):
-            continue
-        canon = _canonical_hyperplane(fr)
-        if canon not in seen:
+        canon = _canonical_hyperplane(vec)
+        if any(canon) and canon not in seen:
             seen.append(canon)
     return tuple(seen)
 

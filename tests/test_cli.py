@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -14,6 +16,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_refused(capsys, argv, line):
+    """Exit 2, nothing on stdout, and exactly one line on stderr."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", line + "\n"), argv
 
 
 def test_count_faces_row(capsys):
@@ -82,22 +90,39 @@ def test_count_method_all(capsys):
         code, out, err = run(capsys, "count", table, "-n", "0", "--method", "all")
         assert code == 0 and out == "1\n"
         assert "skipped: oracle (needs n >= 1)" in err
+    # every method that does not apply gets its own line, in the method order
+    code, out, err = run(capsys, "count", "--flats", "-n", "11", "--method", "all")
+    assert code == 0 and out == " ".join(str(ct.h_recurrence(11, k)) for k in range(12)) + "\n"
+    assert [line for line in err.splitlines() if line.startswith("skipped:")] == [
+        "skipped: closed-form (no closed form is implemented for the flat table)",
+        "skipped: enumerate (object enumeration is limited to n <= 10)",
+        "skipped: oracle (cap 7)",
+    ]
+    assert err.splitlines()[-1] == "cross-checked: recurrence, series"
+    code, out, err = run(capsys, "count", "--faces", "-n", "11", "--method", "all")
+    assert code == 0
+    assert "skipped: enumerate (object enumeration is limited to n <= 10)\n" in err
+    assert err.splitlines()[-1] == "cross-checked: recurrence, series, closed-form"
 
 
 def test_count_refusals(capsys):
-    code, _, err = run(
-        capsys, "count", "--flats", "-n", "3", "--method", "closed-form"
-    )
-    assert code == 2 and "closed form" in err
     code, _, err = run(capsys, "count", "--faces", "-n", "6", "--method", "oracle")
     assert code == 2 and "cap" in err
-    for table in ("--faces", "--flats"):
-        code, out, err = run(capsys, "count", table, "-n", "0", "--method", "oracle")
-        assert code == 2 and out == "" and "needs n >= 1" in err
-    code, _, err = run(capsys, "count", "--faces", "-n", "3", "-k", "7")
-    assert code == 2
     code, _, err = run(capsys, "count", "-n", "3")
     assert code == 2  # neither --faces nor --flats
+    for argv, line in (
+        (("--flats", "-n", "3", "--method", "closed-form"),
+         "no closed form is implemented for the flat table"),
+        (("--faces", "-n", "0", "--method", "oracle"), "needs n >= 1"),
+        (("--flats", "-n", "0", "--method", "oracle"), "needs n >= 1"),
+        (("--faces", "-n", "-1"), "n must be nonnegative"),
+        (("--flats", "-n", "-1"), "n must be nonnegative"),
+        (("--faces", "-n", "3", "-k", "7"), "k must be between 0 and 3"),
+        (("--flats", "-n", "3", "-k", "-1"), "k must be between 0 and 3"),
+        (("--faces", "--method", "enumerate", "-n", "11"),
+         "object enumeration is limited to n <= 10"),
+    ):
+        assert_refused(capsys, ("count", *argv), line)
 
 
 def test_count_oracle_cap_override(capsys):
@@ -178,8 +203,11 @@ def test_enumerate_refusal(capsys):
     code, out, err = run(capsys, "enumerate", "faces", "-n", "12")
     assert code == 2 and out == ""
     assert str(total) in err and "--limit" in err
-    code, _, err = run(capsys, "enumerate", "chambers", "-n", "5", "--limit", "10")
-    assert code == 2 and "32 records" in err
+    assert_refused(
+        capsys,
+        ("enumerate", "chambers", "-n", "5", "--limit", "10"),
+        "refusing to enumerate 32 records (limit 10); raise --limit to proceed",
+    )
 
 
 def test_enumerate_usage_errors(capsys):
@@ -187,13 +215,23 @@ def test_enumerate_usage_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "enumerate", "walls", "-n", "2")
     assert code == 2
+    for argv, line in (
+        (("faces", "-n", "0"), "n must be at least 1"),
+        (("chambers", "-n", "2", "-k", "0"), "chambers have no dimension filter; drop -k"),
+        (("faces", "-n", "3", "-k", "9"), "k must be between 0 and 3"),
+        (("flats", "-n", "3", "-k", "-1"), "k must be between 0 and 3"),
+    ):
+        assert_refused(capsys, ("enumerate", *argv), line)
 
 
 def test_graph_dot(capsys):
     code, out, _ = run(capsys, "graph", "-n", "2")
     assert code == 0 and out == adjacency_dot(2)
-    code, _, err = run(capsys, "graph", "-n", "13")
-    assert code == 2 and "n = 12" in err
+    assert_refused(
+        capsys, ("graph", "-n", "13"),
+        "the adjacency graph has 2^13 nodes; supported up to n = 12",
+    )
+    assert_refused(capsys, ("graph", "-n", "0"), "n must be at least 1")
 
 
 def test_graph_json(capsys):
@@ -217,6 +255,30 @@ def test_out_file(tmp_path, capsys):
     assert code == 4 and "cannot write" in err
 
 
+class FullDisk(io.TextIOBase):
+    """A stdout whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_stdout_write_failure_exits_4(capsys, monkeypatch):
+    for argv in (
+        ("count", "--faces", "-n", "3"),
+        ("enumerate", "flats", "-n", "3"),
+        ("graph", "-n", "2", "--format", "json"),
+        ("verify",),
+        ("verify", "--non-simply-laced"),
+        ("verify", "--oracle", "-n", "2"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", FullDisk())
+            code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 4 and "cannot write stdout: " in err, argv
+        assert os.strerror(errno.ENOSPC) in err
+
+
 def test_verify_tables(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -236,8 +298,8 @@ def test_verify_oracle_report(capsys):
     assert report["flats"]["counts"] == [1, 3, 1]
     assert report["cells"]["stats"]["cells"] == 10
     assert "elapsed" in err
-    code, _, _ = run(capsys, "verify", "--oracle")
-    assert code == 2  # -n required
+    assert_refused(capsys, ("verify", "--oracle"), "verify --oracle needs -n")
+    assert_refused(capsys, ("verify", "--oracle", "-n", "0"), "n must be at least 1")
 
 
 def test_verify_refuses_flags_it_cannot_honour(capsys):

@@ -75,3 +75,14 @@ def test_no_function_calls_itself():
                 if by_name or by_self:
                     found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {fn.name}")
     assert found == []
+
+
+def test_package_has_no_assert_statement():
+    # python -O strips assert, so a check the package relies on must be explicit
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
