@@ -1,5 +1,5 @@
 """Chambers of the restricted weight arrangement: subsets of [n], sign
-tableaux with local flow validation, extreme rays, and exact point
+tableaux with local flow validation, chains of extreme rays, and exact point
 classification.
 
 A chamber is a full-dimensional cell of the closed cone x_1 >= ... >= x_n cut
@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-from .poset import PosetPoint
+from .oracle.arrangement import SignCondition, gl_arrangement
+from .oracle.linalg import dot, integer_row
+from .poset import Chain, PosetPoint
 
 
 class TableauError(ValueError):
@@ -144,16 +146,24 @@ def tableau_validate(T: Union[str, Sequence[Sequence[int]]]) -> Chamber:
     return chamber_from_subset(n, subset)
 
 
-def extreme_rays(chamber: Chamber) -> tuple[tuple[int, ...], ...]:
-    """The n extreme rays e_1, ..., e_l, ...: e_l has its top l slots filled
-    with +-1 according to how much of the subset sits above n - l."""
-    n = chamber.n
-    members = set(chamber.subset)
-    rays = []
+def chamber_chain(chamber: Chamber) -> Chain:
+    """The maximal chain indexing a chamber's extreme rays, one per level.
+
+    Level l holds (pi_l, l - pi_l), where pi_l counts the subset members
+    above n - l: the index of extreme ray e_l, read off the subset.
+    """
+    n, members = chamber.n, set(chamber.subset)
+    chain, pi = [], 0
     for l in range(1, n + 1):
-        pi = sum(1 for a in members if a >= n - l + 1)
-        rays.append(tuple([1] * pi + [0] * (n - l) + [-1] * (l - pi)))
-    return tuple(rays)
+        if n - l + 1 in members:
+            pi += 1
+        chain.append(PosetPoint(pi, l - pi))
+    return tuple(chain)
+
+
+def extreme_rays(chamber: Chamber) -> tuple[tuple[int, ...], ...]:
+    """The n extreme rays e_1, ..., e_n, the ray vectors of the chamber's chain."""
+    return tuple(ray_from_index(chamber.n, p) for p in chamber_chain(chamber))
 
 
 def ray_from_index(n: int, point: PosetPoint) -> tuple[int, ...]:
@@ -163,51 +173,12 @@ def ray_from_index(n: int, point: PosetPoint) -> tuple[int, ...]:
     return tuple([1] * point.a + [0] * (n - point.level) + [-1] * point.b)
 
 
-def ray_index(r: Sequence) -> PosetPoint:
-    """Recover (a, b) from any positive multiple of a ray vector (1^a, 0^*, (-1)^b)."""
-    vec = [Fraction(v) for v in r]
-    if not vec or all(v == 0 for v in vec):
-        raise ValueError("the zero vector is not a ray")
-    scale = max(abs(v) for v in vec)
-    norm = [v / scale for v in vec]
-    a = 0
-    while a < len(norm) and norm[a] == 1:
-        a += 1
-    b = 0
-    while b < len(norm) and norm[len(norm) - 1 - b] == -1:
-        b += 1
-    if a + b > len(norm) or any(v != 0 for v in norm[a : len(norm) - b]):
-        raise ValueError(f"{list(r)} is not proportional to a (1..,0..,-1..) pattern")
-    return PosetPoint(a, b)
-
-
-@dataclass(frozen=True)
-class FaceSignature:
-    """Exact sign data of a non-generic point: one sign per weight box (i, j)
-    in row-major order, plus the signs of the consecutive differences."""
-
-    n: int
-    weight_signs: tuple[int, ...]
-    root_signs: tuple[int, ...]
-
-    def weight_sign(self, i: int, j: int) -> int:
-        if not 1 <= i <= j <= self.n:
-            raise ValueError(f"bad box ({i}, {j})")
-        # boxes (1,1)..(1,n), (2,2)..: row i starts after sum of previous row lengths
-        offset = sum(self.n - r + 1 for r in range(1, i)) + (j - i)
-        return self.weight_signs[offset]
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def classify_point(n: int, x: Sequence) -> Union[Chamber, FaceSignature]:
+def classify_point(n: int, x: Sequence) -> Union[Chamber, SignCondition]:
     """Classify an exact rational point of the closed cone x_1 >= ... >= x_n.
 
     Generic points (no weight vanishes, all differences strict) return their
-    Chamber; everything else returns the full FaceSignature.  Points outside
-    the cone raise ValueError.
+    Chamber; everything else returns its SignCondition, the signs of the
+    rows of gl_arrangement(n).  Points outside the cone raise ValueError.
     """
     vec = [Fraction(v) for v in x]
     if len(vec) != n:
@@ -217,12 +188,15 @@ def classify_point(n: int, x: Sequence) -> Union[Chamber, FaceSignature]:
             raise ValueError(
                 f"point is outside the chamber: x_{i + 1} < x_{i + 2}"
             )
-    weight_signs = tuple(
-        _sign(vec[i] + vec[j]) for i in range(n) for j in range(i, n)
-    )
-    root_signs = tuple(_sign(vec[i] - vec[i + 1]) for i in range(n - 1))
-    if all(s != 0 for s in weight_signs) and all(s == 1 for s in root_signs):
-        order = sorted(range(n), key=lambda i: abs(vec[i]))
-        subset = [m + 1 for m, i in enumerate(order) if vec[i] > 0]
+    # the signs and the order by absolute value are those of an integer
+    # multiple of the point, on which the rows are evaluated in ints
+    point = integer_row(vec)
+    arr = gl_arrangement(n)
+    values = [dot(row, point) for row in arr.cuts + arr.walls]
+    signs = tuple((v > 0) - (v < 0) for v in values)
+    if 0 not in signs:
+        order = sorted(range(n), key=lambda i: abs(point[i]))
+        subset = [m + 1 for m, i in enumerate(order) if point[i] > 0]
         return chamber_from_subset(n, subset)
-    return FaceSignature(n, weight_signs, root_signs)
+    cuts = len(arr.cuts)
+    return SignCondition(n, signs[:cuts], signs[cuts:])

@@ -492,6 +492,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a printed row may be longer than the 4,300 digits to which CPython
+    # 3.10.7+ limits int-to-str conversion; earlier versions have no limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

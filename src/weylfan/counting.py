@@ -304,10 +304,3 @@ def errata_entries(status: str | None = None) -> list[dict]:
         return list(entries)
     return [e for e in entries if e["status"] == status]
 
-
-def adopted_value(table: str, n: int, k: int) -> int | None:
-    """The arbitrated value for a flagged table entry, or None if unflagged."""
-    for e in load_errata()["entries"]:
-        if e["table"] == table and e["n"] == n and e["k"] == k:
-            return e["adopted"]
-    return None

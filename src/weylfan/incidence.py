@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
-from .chambers import Chamber, all_chambers, ray_from_index
+from .chambers import Chamber, all_chambers, chamber_chain, ray_from_index
 # the weight boxes and their functionals are defined once, with the oracle's
 # gl arrangement, and re-exported here under the same names
 from .oracle.arrangement import WeightIndex, weight_functional, weight_indices
-from .oracle.linalg import kernel_basis
 from .poset import (
     INF,
     Chain,
@@ -27,11 +25,6 @@ from .poset import (
     is_chain,
     sort_key,
 )
-
-
-def evaluate_weight(idx: WeightIndex, x: Sequence) -> Fraction:
-    i, j = idx
-    return Fraction(x[i - 1]) + Fraction(x[j - 1])
 
 
 def hyperplane_rays(n: int, idx: WeightIndex) -> frozenset[PosetPoint]:
@@ -82,35 +75,6 @@ def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
     if not is_chain(pts):
         raise ValueError(f"{pts} is not a chain")
     return Face(n, tuple(pts))
-
-
-def _nonneg_combination(gens, target):
-    """Exact coefficients t >= 0 with sum t_c * gens[c] = target, else None."""
-    k = len(gens)
-    augmented = [[g[r] for g in gens] + [-target[r]] for r in range(len(target))]
-    # t is read off the kernel vector whose free column is the target column,
-    # the only one nonzero there, as vec[:k] / vec[k] with vec[k] > 0; there
-    # is none when the target is not in the span of gens
-    for vec in kernel_basis(augmented, k + 1):
-        if vec[k]:
-            if any(v < 0 for v in vec[:k]):
-                return None
-            return [Fraction(v, vec[k]) for v in vec[:k]]
-    return None
-
-
-def rays_of_face(n: int, chain: Iterable[PosetPoint]) -> tuple[PosetPoint, ...]:
-    """Arrangement rays inside the cone spanned by a chain, derived from the
-    ray vectors alone.  The chain vectors sit at distinct levels so the
-    coefficients of any representation are unique; membership is consistency
-    plus nonnegativity, no search involved."""
-    face = face_from_chain(n, chain)
-    gens = face.rays()
-    out = []
-    for q in all_points(n):
-        if _nonneg_combination(gens, ray_from_index(n, q)) is not None:
-            out.append(q)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -168,28 +132,10 @@ def flat_from_ensemble(ensemble: Ensemble) -> Flat:
     return Flat(n, ensemble, tuple(sorted(hyps)))
 
 
-def flat_from_rays(n: int, points: Iterable[PosetPoint]) -> Flat:
-    return flat_from_ensemble(Ensemble.from_points(n, points))
-
-
 def flats_of(n: int, k: int):
     """All k-dimensional flats, in ensemble enumeration order."""
     for ensemble in enumerate_ensembles(n, k):
         yield flat_from_ensemble(ensemble)
-
-
-def chamber_chain(chamber: Chamber) -> Chain:
-    """The maximal chain indexing a chamber's extreme rays, one per level.
-
-    Level l holds (pi_l, l - pi_l), where pi_l counts the subset members
-    above n - l: the index of extreme ray e_l, read off the subset.
-    """
-    n = chamber.n
-    chain = []
-    for l in range(1, n + 1):
-        pi = sum(1 for a in chamber.subset if a >= n - l + 1)
-        chain.append(PosetPoint(pi, l - pi))
-    return tuple(chain)
 
 
 def chamber_adjacency_graph(n: int) -> tuple[list[Chamber], list[tuple[int, int]]]:

@@ -5,11 +5,10 @@ coordinates: no chains, ensembles, tableaux or other combinatorial models are
 consulted, so its outputs can arbitrate the combinatorial layers.
 """
 
-from .arrangement import Arrangement, gl_arrangement
+from .arrangement import Arrangement, SignCondition, gl_arrangement
 from .cells import (
     CapExceeded,
     CellEnumeration,
-    SignCondition,
     adjacency_from_cells,
     cell_feasible,
     enumerate_cells,

@@ -4,6 +4,7 @@ An `Arrangement` is given by rational rows in Q^dim: the cuts, whose
 hyperplanes stratify the cone, and the cone {walls >= 0, ambient_eqs = 0}
 that they cut.  The gl_n picture of the paper is one such value: the weights
 x_i + x_j (i <= j) cut the dual fundamental chamber x_1 >= ... >= x_n.
+A `SignCondition` gives one sign per row of that picture, cuts then walls.
 """
 
 from __future__ import annotations
@@ -59,3 +60,23 @@ def gl_arrangement(n: int) -> Arrangement:
     on the chamber x_1 >= ... >= x_n."""
     cuts = tuple(weight_functional(n, idx) for idx in weight_indices(n))
     return Arrangement(n, cuts, difference_walls(n))
+
+
+@dataclass(frozen=True)
+class SignCondition:
+    """Sign data of one stratum of gl_arrangement(n), in its row order: the
+    weight boxes row-major, then the walls."""
+
+    n: int
+    weight_signs: tuple[int, ...]
+    root_signs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.weight_signs) != self.n * (self.n + 1) // 2:
+            raise ValueError("wrong number of weight signs")
+        if len(self.root_signs) != max(self.n - 1, 0):
+            raise ValueError("wrong number of root signs")
+        if any(s not in (-1, 0, 1) for s in self.weight_signs):
+            raise ValueError("weight signs must be -1, 0 or 1")
+        if any(s not in (0, 1) for s in self.root_signs):
+            raise ValueError("root signs must be 0 or 1")

@@ -16,43 +16,15 @@ from fractions import Fraction
 from typing import Optional
 
 from ..search import depth_first
-from .arrangement import Arrangement, gl_arrangement
+from .arrangement import Arrangement, SignCondition, gl_arrangement
 from .linalg import dot, integer_row, rank_of
 from .simplex import CertificateError, strict_feasible
-
-N1_NOTE = (
-    "rank 1 note: the chamber cone has no facet constraints, so it is the "
-    "whole line and the single hyperplane x_1 = 0 cuts it into {x<0}, {0}, "
-    "{x>0}; the counts by dimension are [1, 2].  The printed polynomial for "
-    "this row reads 1 + t (one 1-cell), while the subset model (2^1 = 2 "
-    "chambers) and the two one-point chains both give 2.  Golden values key "
-    "to [1, 2]; the printed row is flagged in the bundled errata data."
-)
 
 CELL_CAP = 5  # default largest rank of enumerate_cells
 
 
 class CapExceeded(RuntimeError):
     """Raised instead of silently attempting an oversized search."""
-
-
-@dataclass(frozen=True)
-class SignCondition:
-    """Sign data of one stratum: weight boxes row-major, then facet slots."""
-
-    n: int
-    weight_signs: tuple[int, ...]
-    root_signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.weight_signs) != self.n * (self.n + 1) // 2:
-            raise ValueError("wrong number of weight signs")
-        if len(self.root_signs) != max(self.n - 1, 0):
-            raise ValueError("wrong number of root signs")
-        if any(s not in (-1, 0, 1) for s in self.weight_signs):
-            raise ValueError("weight signs must be -1, 0 or 1")
-        if any(s not in (0, 1) for s in self.root_signs):
-            raise ValueError("root signs must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -67,7 +39,6 @@ class CellEnumeration:
     n: int
     counts: list[int]
     cells: list[Cell]
-    notes: tuple[str, ...]
     stats: dict = field(default_factory=dict)
 
 
@@ -155,10 +126,9 @@ def enumerate_cells(n: int, *, cap: int = CELL_CAP) -> CellEnumeration:
     if n < 1:
         raise ValueError("rank must be at least 1")
     if n > cap:
-        space = 3 ** (n * (n + 1) // 2) * 2 ** (n - 1)
         raise CapExceeded(
-            f"cell enumeration at rank {n} walks a 3^(n(n+1)/2) * 2^(n-1) "
-            f"= {space} sign space; the configured cap is {cap}"
+            f"cell enumeration at rank {n} walks a 3^(n(n+1)/2) * 2^(n-1) = "
+            f"3^{n * (n + 1) // 2} * 2^{n - 1} sign space; the configured cap is {cap}"
         )
     stats: dict = {}
     raw, counts = enumerate_generic_cells(gl_arrangement(n), stats=stats)
@@ -167,8 +137,7 @@ def enumerate_cells(n: int, *, cap: int = CELL_CAP) -> CellEnumeration:
         for cut_signs, facet_signs, d, witness in raw
     ]
     stats["cells"] = len(cells)
-    notes = (N1_NOTE,) if n == 1 else ()
-    return CellEnumeration(n, counts, cells, notes, stats)
+    return CellEnumeration(n, counts, cells, stats)
 
 
 def rays_geometric(n: int, *, cap: int = CELL_CAP, cells=None):

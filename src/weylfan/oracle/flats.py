@@ -130,10 +130,9 @@ def enumerate_flats_geometric(n: int, *, cap: int = FLAT_CAP) -> FlatEnumeration
     if n < 1:
         raise ValueError("rank must be at least 1")
     if n > cap:
-        subsets = 2 ** (n * (n + 1) // 2)
         raise CapExceeded(
             f"flat enumeration at rank {n} ranges over 2^(n(n+1)/2) = "
-            f"{subsets} generator subsets; the configured cap is {cap}"
+            f"2^{n * (n + 1) // 2} generator subsets; the configured cap is {cap}"
         )
     stats: dict = {}
     raw, counts = enumerate_generic_flats(gl_arrangement(n), stats=stats)

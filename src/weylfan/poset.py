@@ -105,13 +105,6 @@ def sort_key(p: PosetPoint) -> tuple[int, int]:
     return (p.level, p.b)
 
 
-def level_set(n: int, i: int) -> list[PosetPoint]:
-    """The i-th level of E_n: points (a, i - a), sorted by a."""
-    if not 0 <= i <= n:
-        raise ValueError(f"level {i} out of range for E_{n}")
-    return [PosetPoint(a, i - a) for a in range(i + 1)]
-
-
 def all_points(n: int, *, include_origin: bool = False) -> list[PosetPoint]:
     """E*_n (or E_n) listed in (level, b) order."""
     return _points_between(n, PosetPoint(0, 0), INF, 0 if include_origin else 1)
@@ -127,11 +120,6 @@ def _points_between(n: int, lo: PosetPoint, hi: ExtendedPoint, floor: int = 0) -
         for lev in range(max(lo.level, floor), top + 1)
         for b in range(max(lo.b, lev - a_max), min(b_max, lev - lo.a) + 1)
     ]
-
-
-def star_size(n: int) -> int:
-    """|E*_n| = n(n+3)/2."""
-    return n * (n + 3) // 2
 
 
 @dataclass(frozen=True)
@@ -151,16 +139,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo},{self.hi}]"
-
-
-def interval_realize(interval: Interval, n: int, *, ambient: str = "E*") -> list[PosetPoint]:
-    """Points of the ambient poset lying in the interval, in (level, b) order.
-
-    ambient is "E*" (origin excluded) or "E" (origin included).
-    """
-    if ambient not in ("E*", "E"):
-        raise ValueError(f"ambient must be 'E*' or 'E', got {ambient!r}")
-    return _points_between(n, interval.lo, interval.hi, 0 if ambient == "E" else 1)
 
 
 Chain = tuple[PosetPoint, ...]

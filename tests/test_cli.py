@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weylfan
 from weylfan import counting as ct
 from weylfan.cli import main
@@ -82,9 +84,10 @@ def test_count_method_all(capsys):
     assert code == 0 and out == "1 5 6 1\n"
     assert "cross-checked" in err
     # beyond the flat-oracle cap the oracle leg is skipped, not attempted
-    code, out, err = run(capsys, "count", "--flats", "-n", "8", "--method", "all")
-    assert code == 0 and out.startswith("1 30 151")
-    assert "skipped: oracle (cap 7)" in err
+    for n in (8, 169):
+        code, out, err = run(capsys, "count", "--flats", "-n", str(n), "--method", "all")
+        assert code == 0 and out.split() == [str(ct.h_recurrence(n, k)) for k in range(n + 1)]
+        assert "skipped: oracle (cap 7)" in err
     # the oracle needs rank >= 1, so at n = 0 its leg is skipped too
     for table in ("--faces", "--flats"):
         code, out, err = run(capsys, "count", table, "-n", "0", "--method", "all")
@@ -121,8 +124,37 @@ def test_count_refusals(capsys):
         (("--flats", "-n", "3", "-k", "-1"), "k must be between 0 and 3"),
         (("--faces", "--method", "enumerate", "-n", "11"),
          "object enumeration is limited to n <= 10"),
+        # a searched space of thousands of decimal digits is named by exponents
+        (("--faces", "--method", "oracle", "-n", "134"),
+         "cell enumeration at rank 134 walks a 3^(n(n+1)/2) * 2^(n-1) = "
+         "3^9045 * 2^133 sign space; the configured cap is 5"),
+        (("--flats", "--method", "oracle", "-n", "169"),
+         "flat enumeration at rank 169 ranges over 2^(n(n+1)/2) = "
+         "2^14365 generator subsets; the configured cap is 7"),
     ):
         assert_refused(capsys, ("count", *argv), line)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_rows_longer_than_the_digit_limit(capsys):
+    # a face row passes the default 4,300-digit limit near n = 8,240; under
+    # a 640-digit limit n = 1,300 does the same
+    value = ct.g_recurrence(1300, 650)
+    limit = sys.get_int_max_str_digits()
+    out = {}
+    try:
+        sys.set_int_max_str_digits(640)
+        for fmt in ("text", "json", "csv"):
+            argv = ("count", "--faces", "-n", "1300", "-k", "650", "--format", fmt)
+            code, out[fmt], _ = run(capsys, *argv)
+            assert code == 0, fmt
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out["text"] == f"{value}\n"
+    assert json.loads(out["json"])["entries"][0]["value"] == value
+    assert out["csv"].splitlines()[1] == f"faces,1300,650,{value},recurrence"
 
 
 def test_count_oracle_cap_override(capsys):
@@ -300,6 +332,12 @@ def test_verify_oracle_report(capsys):
     assert "elapsed" in err
     assert_refused(capsys, ("verify", "--oracle"), "verify --oracle needs -n")
     assert_refused(capsys, ("verify", "--oracle", "-n", "0"), "n must be at least 1")
+    assert_refused(
+        capsys,
+        ("verify", "--oracle", "-n", "200"),
+        "cell enumeration at rank 200 walks a 3^(n(n+1)/2) * 2^(n-1) = "
+        "3^20100 * 2^199 sign space; the configured cap is 5",
+    )
 
 
 def test_verify_refuses_flags_it_cannot_honour(capsys):

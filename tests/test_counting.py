@@ -201,8 +201,9 @@ def test_errata_record():
     for e in ct.errata_entries():
         assert e["adopted"] == GOLDEN_G[e["n"]][e["k"]]
         assert any(v != e["adopted"] for v in e["printed"].values()) or e["id"] == "faces-6-1"
-    assert ct.adopted_value("faces", 10, 8) == 23552
-    assert ct.adopted_value("faces", 3, 1) is None
+    adopted = {(e["table"], e["n"], e["k"]): e["adopted"] for e in ct.errata_entries()}
+    assert adopted[("faces", 10, 8)] == 23552
+    assert ("faces", 3, 1) not in adopted
     ids = {note["id"] for note in data["formula_notes"]}
     assert "pseudo-recursion-level-factor" in ids
     assert "flat-linear-recurrence-coefficient" in ids

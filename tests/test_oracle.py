@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import weylfan.oracle
 from weylfan import counting as ct
 from weylfan import incidence as inc
-from weylfan.chambers import ray_index
+from weylfan.chambers import ray_from_index
 from weylfan.oracle import (
     Arrangement,
     CapExceeded,
@@ -43,7 +43,13 @@ from weylfan.oracle.simplex import (
     simplex_max,
     strict_feasible,
 )
-from weylfan.poset import Ensemble, all_points, enumerate_ensembles
+from weylfan.poset import (
+    Ensemble,
+    all_points,
+    enumerate_chains,
+    enumerate_ensembles,
+    is_chain,
+)
 
 
 def reference_rref(rows, dim):
@@ -469,12 +475,12 @@ def test_cells_golden_rows():
 
 
 def test_n1_reports_the_tension():
-    enum = enumerate_cells(1)
-    assert enum.counts == [1, 2]
-    assert len(enum.notes) == 1
-    note = enum.notes[0]
-    assert "[1, 2]" in note and "1 + t" in note and "errata" in note
-    assert enumerate_cells(2).notes == ()
+    # the oracle counts two half-lines where the printed row reads one; the
+    # errata record, which verify prints, holds that tension
+    assert enumerate_cells(1).counts == [1, 2]
+    (entry,) = [e for e in ct.errata_entries() if e["id"] == "faces-1-1"]
+    assert (entry["table"], entry["n"], entry["k"]) == ("faces", 1, 1)
+    assert entry["adopted"] == 2 and set(entry["printed"].values()) == {1}
 
 
 def test_witness_soundness():
@@ -483,7 +489,7 @@ def test_witness_soundness():
             x = cell.witness
             pos = 0
             for idx in inc.weight_indices(n):
-                value = inc.evaluate_weight(idx, x)
+                value = dot(inc.weight_functional(n, idx), x)
                 assert (value > 0) - (value < 0) == cell.condition.weight_signs[pos]
                 pos += 1
             for i, tau in enumerate(cell.condition.root_signs):
@@ -553,10 +559,10 @@ def test_oracle_counters_and_outputs_are_pinned():
 def test_cap_refusals():
     with pytest.raises(CapExceeded) as err:
         enumerate_cells(6)
-    assert "3^(n(n+1)/2)" in str(err.value) and str(3**21 * 2**5) in str(err.value)
+    assert "3^(n(n+1)/2)" in str(err.value) and "3^21 * 2^5" in str(err.value)
     with pytest.raises(CapExceeded) as err:
         enumerate_flats_geometric(8)
-    assert "2^(n(n+1)/2)" in str(err.value) and str(2**36) in str(err.value)
+    assert "2^(n(n+1)/2)" in str(err.value) and "2^36" in str(err.value)
     with pytest.raises(CapExceeded):
         enumerate_cells(2, cap=1)
     with pytest.raises(CapExceeded):
@@ -574,10 +580,34 @@ def test_rays_geometric_small():
     }
     for n in (2, 3):
         rays = rays_geometric(n)
-        points = {ray_index(r) for r in rays}
-        assert points == set(all_points(n))
+        assert set(rays) == {ray_from_index(n, p) for p in all_points(n)}
         for r in rays:
             assert all(v in (-1, 0, 1) for v in r)
+
+
+def test_cell_closures_are_the_chains():
+    # the rays in a cell's closure are those whose sign on every row is 0 or
+    # the cell's own; they form a chain of the cell's dimension, and every
+    # chain of E*_n, the empty one too, closes exactly one cell
+    for n in range(1, 5):
+        arr = gl_arrangement(n)
+        values = {
+            p: [dot(row, ray_from_index(n, p)) for row in arr.cuts + arr.walls]
+            for p in all_points(n)
+        }
+        chains = []
+        for cell in enumerate_cells(n).cells:
+            signs = cell.condition.weight_signs + cell.condition.root_signs
+            closure = tuple(
+                p
+                for p, vals in values.items()
+                if all(v == 0 or (v > 0) - (v < 0) == s for v, s in zip(vals, signs))
+            )
+            assert len(closure) == cell.dim and is_chain(closure)
+            chains.append(closure)
+        expected = [chain for k in range(n + 1) for chain in enumerate_chains(n, k)]
+        assert len(set(chains)) == len(chains) == len(expected)
+        assert set(chains) == set(expected)
 
 
 def test_rays_geometric_rejects_a_non_lattice_witness():

@@ -22,11 +22,8 @@ from weylfan.poset import (
     enumerate_chains,
     enumerate_ensembles,
     enumerate_pseudo_ensembles,
-    interval_realize,
     is_chain,
-    level_set,
     sort_key,
-    star_size,
 )
 
 P = PosetPoint
@@ -38,22 +35,12 @@ def powerset(items):
         yield {items[i] for i in range(len(items)) if mask >> i & 1}
 
 
-def test_level_set_contents():
-    assert level_set(3, 2) == [P(0, 2), P(1, 1), P(2, 0)]
-    assert level_set(5, 0) == [P(0, 0)]
-    with pytest.raises(ValueError):
-        level_set(3, 4)
-    with pytest.raises(ValueError):
-        level_set(3, -1)
-
-
 @pytest.mark.parametrize("n", range(0, 9))
 def test_levels_partition_and_size(n):
     pts = all_points(n)
-    assert len(pts) == star_size(n) == n * (n + 3) // 2
-    by_level = [p for i in range(1, n + 1) for p in sorted(level_set(n, i), key=sort_key)]
+    assert len(pts) == n * (n + 3) // 2
+    by_level = [P(a, i - a) for i in range(1, n + 1) for a in range(i + 1)]
     assert sorted(pts, key=sort_key) == sorted(by_level, key=sort_key)
-    assert all(len(level_set(n, i)) == i + 1 for i in range(n + 1))
 
 
 def test_order_axioms_seeded():
@@ -68,18 +55,6 @@ def test_order_axioms_seeded():
             assert p <= r
         assert (p <= q) == (p.a <= q.a and p.b <= q.b)
         assert p <= INF and not (INF <= p) and INF <= INF
-
-
-def test_interval_realize():
-    iv = Interval(P(1, 0), P(2, 1))
-    assert interval_realize(iv, 3) == [P(1, 0), P(2, 0), P(1, 1), P(2, 1)]
-    assert interval_realize(Interval(P(0, 0), P(0, 0)), 3, ambient="E") == [P(0, 0)]
-    assert interval_realize(Interval(P(0, 0), P(0, 0)), 3) == []
-    assert interval_realize(Interval(P(1, 1), INF), 3) == [P(1, 1), P(2, 1), P(1, 2)]
-    with pytest.raises(ValueError):
-        Interval(P(1, 0), P(0, 1))
-    with pytest.raises(ValueError):
-        interval_realize(iv, 3, ambient="F")
 
 
 def test_chain_enumeration_order_n2():
@@ -159,6 +134,8 @@ def test_ensemble_validation():
         Ensemble(2, (Interval(o, P(1, 1)),))  # last finite end at level n
     with pytest.raises(ValueError):
         Ensemble(3, (Interval(o, P(1, 0)), Interval(P(1, 1), INF)),)  # gap fails
+    with pytest.raises(ValueError):
+        Interval(P(1, 0), P(0, 1))  # empty interval
     e = Ensemble(3, (Interval(o, P(1, 0)), Interval(P(2, 1), INF)))
     assert e.realized() == {P(1, 0), P(2, 1)}
     assert e.rank == 2 and e.interval_count == 2

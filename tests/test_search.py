@@ -1,7 +1,9 @@
-"""The shared depth-first walk, and the rule that no function of the package
-recurses: every tree is walked by search.depth_first."""
+"""The shared depth-first walk, the rule that no function of the package
+recurses (every tree is walked by search.depth_first), and the audit that
+every public name of the package has a caller."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -10,6 +12,14 @@ from weylfan import search
 from weylfan.search import depth_first
 
 PACKAGE = Path(weylfan.__file__).parent
+TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+
+# Public names that no module of the package names, each with its reason.
+UNCALLED = {
+    # the flat tests check every ensemble's ray set against this
+    # intersection of hyperplane ray sets
+    "rays_of",
+}
 
 
 def test_preorder_of_a_small_tree():
@@ -86,3 +96,50 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _benchmark_layers():
+    """The LAYERS table of the benchmark tracer, read from its source."""
+    tree = ast.parse(TRACE_CHILD.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [
+            t.id for t in node.targets if isinstance(t, ast.Name)
+        ] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise LookupError(f"no LAYERS table in {TRACE_CHILD}")
+
+
+def test_benchmark_layer_names_resolve():
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in _benchmark_layers().items()
+        for name in names
+        if not hasattr(importlib.import_module("weylfan." + layer), name)
+    ]
+    assert missing == []
+
+
+def test_every_public_name_has_a_caller():
+    trees = {
+        path.relative_to(PACKAGE): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    named |= {name for names in _benchmark_layers().values() for name in names}
+    uncalled = [
+        f"{path}:{node.name}"
+        for path, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in named | UNCALLED
+    ]
+    assert uncalled == []
