@@ -492,20 +492,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # a printed row may be longer than the 4,300 digits to which CPython
-    # 3.10.7+ limits int-to-str conversion; earlier versions have no limit
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return args.func(args)
-    except (UsageError, CapExceeded) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    with ct.no_digit_limit():  # a printed row may be longer than the limit
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        try:
+            return args.func(args)
+        except (UsageError, CapExceeded) as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -260,6 +262,21 @@ def series_product_coeff(A: Poly2, S: BiSeries, n: int, k: int) -> int:
 # --- tables and emission -----------------------------------------------------
 
 
+@contextmanager
+def no_digit_limit():
+    """Lift the int-to-str digit limit of CPython 3.10.7+ for a block: a
+    value may be longer than its default 4,300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 @dataclass(frozen=True)
 class CountTable:
     """Rows (n, k, value) of a face or flat count, tagged with how each value
@@ -272,8 +289,9 @@ class CountTable:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["table", "n", "k", "value", "provenance"])
-        for n, k, v, prov in self.entries:
-            writer.writerow([self.kind, n, k, v, prov])
+        with no_digit_limit():
+            for n, k, v, prov in self.entries:
+                writer.writerow([self.kind, n, k, v, prov])
         return buf.getvalue()
 
     def to_json(self) -> str:
@@ -284,7 +302,8 @@ class CountTable:
                 for (n, k, v, prov) in self.entries
             ],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        with no_digit_limit():
+            return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # --- errata ------------------------------------------------------------------

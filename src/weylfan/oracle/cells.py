@@ -11,6 +11,7 @@ one strict-feasibility LP does.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -39,7 +40,7 @@ class CellEnumeration:
     n: int
     counts: list[int]
     cells: list[Cell]
-    stats: dict = field(default_factory=dict)
+    stats: Counter = field(default_factory=Counter)
 
 
 def _split_rows(rows, signs):
@@ -68,14 +69,14 @@ def cell_feasible(n: int, condition: SignCondition, *, stats=None):
     return witness is not None, witness
 
 
-def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
+def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[Counter] = None):
     """All feasible sign vectors of an arrangement's cuts and walls.
 
     Returns (cells, counts) where each cell is (cut_signs, facet_signs,
     cell_dim, witness), in depth-first order.
     """
     if stats is None:
-        stats = {}
+        stats = Counter()
     dim, ambient = arr.dim, list(arr.ambient_eqs)
     rows = arr.cuts + arr.walls  # one slot per row: cuts, then walls
     n_cuts, n_slots = len(arr.cuts), len(rows)
@@ -88,9 +89,9 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
         if inherited is not None:
             val = dot(rows[pos], inherited[1])
             if (val > 0) - (val < 0) == signs[pos]:
-                stats["witness_hits"] = stats.get("witness_hits", 0) + 1
+                stats["witness_hits"] += 1
                 return inherited
-        stats["nodes"] = stats.get("nodes", 0) + 1
+        stats["nodes"] += 1
         eq, strict = _split_rows(rows, signs)
         # unassigned wall slots still confine the point to the closed cone
         weak = rows[max(pos + 1, n_cuts):]
@@ -115,7 +116,8 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[dict] = None):
             eq, _ = _split_rows(rows, signs)
             d = dim - rank_of(ambient + eq)
             out.append((signs[:n_cuts], signs[n_cuts:], d, found and found[0]))
-    counts = [0] * (dim + 1)
+    # one slot per dimension, up to that of the space {ambient_eqs = 0}
+    counts = [0] * (dim - rank_of(ambient) + 1)
     for _, _, d, _ in out:
         counts[d] += 1
     return out, counts
@@ -130,7 +132,7 @@ def enumerate_cells(n: int, *, cap: int = CELL_CAP) -> CellEnumeration:
             f"cell enumeration at rank {n} walks a 3^(n(n+1)/2) * 2^(n-1) = "
             f"3^{n * (n + 1) // 2} * 2^{n - 1} sign space; the configured cap is {cap}"
         )
-    stats: dict = {}
+    stats = Counter()
     raw, counts = enumerate_generic_cells(gl_arrangement(n), stats=stats)
     cells = [
         Cell(SignCondition(n, cut_signs, facet_signs), d, witness)
@@ -140,14 +142,12 @@ def enumerate_cells(n: int, *, cap: int = CELL_CAP) -> CellEnumeration:
     return CellEnumeration(n, counts, cells, stats)
 
 
-def rays_geometric(n: int, *, cap: int = CELL_CAP, cells=None):
+def rays_geometric(cells: CellEnumeration):
     """The 1-dimensional cells as exactly normalized direction vectors.
 
     Every witness, scaled by its largest absolute coordinate, must land on a
     vector with coordinates in {-1, 0, 1}; anything else is an error.
     """
-    if cells is None:
-        cells = enumerate_cells(n, cap=cap)
     rays = []
     for cell in cells.cells:
         if cell.dim != 1:

@@ -34,7 +34,7 @@ because closure is monotone.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -58,7 +58,7 @@ class FlatEnumeration:
     n: int
     counts: list[int]
     flats: list[GeometricFlat]
-    stats: dict = field(default_factory=dict)
+    stats: Counter = field(default_factory=Counter)
 
 
 def _closure(arr: Arrangement, T, stats):
@@ -91,14 +91,14 @@ def _closure(arr: Arrangement, T, stats):
     return tight, len(span)
 
 
-def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[dict] = None):
+def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None):
     """Every flat of an arrangement, deduplicated by tight closure.
 
     Returns (flats, counts) where each flat is (tight cut positions, dim),
     ordered by dimension, then size, then positions.
     """
     if stats is None:
-        stats = {}
+        stats = Counter()
     root = frozenset()
     cache = {root: _closure(arr, root, stats)}
     dims = dict(cache.values())  # closed tight set -> dimension
@@ -134,7 +134,7 @@ def enumerate_flats_geometric(n: int, *, cap: int = FLAT_CAP) -> FlatEnumeration
             f"flat enumeration at rank {n} ranges over 2^(n(n+1)/2) = "
             f"2^{n * (n + 1) // 2} generator subsets; the configured cap is {cap}"
         )
-    stats: dict = {}
+    stats = Counter()
     raw, counts = enumerate_generic_flats(gl_arrangement(n), stats=stats)
     boxes = weight_indices(n)
     flats = [

@@ -23,7 +23,8 @@ strict and weak rows, one on the cap.
 The tableau is exact and fraction-free: its rows are integer rows that stand
 for their positive multiples, and a pivot is one `linalg.eliminate` step per
 row, the same step that computes ranks and kernels.  Values, solutions and
-witnesses are read back as Fractions.
+witnesses are read back as Fractions.  A `stats` Counter passed to either
+question counts its LP calls and pivots.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
         if leaving is None:
             raise UnboundedProgram("objective is unbounded on the feasible cone")
         if stats is not None:
-            stats["pivots"] = stats.get("pivots", 0) + 1
+            stats["pivots"] += 1
         lead = tab[leaving]
         if lead[-1] == 0:
             stall += 1
@@ -120,7 +121,7 @@ def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
     With no equalities the kernel is the identity, and the rows enter as
     they are."""
     if stats is not None:
-        stats["lp_calls"] = stats.get("lp_calls", 0) + 1
+        stats["lp_calls"] += 1
     if eq_rows:
         basis_vecs = kernel_basis(eq_rows, dim)
         d = len(basis_vecs)

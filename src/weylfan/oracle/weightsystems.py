@@ -1,11 +1,14 @@
-"""Weight systems for the degenerate cases, where every cutting hyperplane
-is a chamber wall and the face/flat counts collapse to binomials.
+"""Weight systems for the degenerate cases, where every weight is a multiple
+of a root, so its hyperplane misses the open chamber, and the face/flat
+counts collapse to binomials.
 
 Coordinates follow the usual realizations: B_n and C_n in R^n with the
 dominant chamber x_1 >= ... >= x_n >= 0, F4 in R^4 with simple roots
 e2-e3, e3-e4, e4, (e1-e2-e3-e4)/2, and G2 on the sum-zero plane of R^3 with
 simple roots e1-e2 and -2e1+e2+e3 (the three-coordinate model keeps every
-entry rational, which the exact solvers need).  All tables here are data.
+entry rational, which the exact solvers need).  Vectors are int tuples but
+for F4's halves.  The root lists are written out by hand: they are the
+reference that the certificates check the weights against.
 """
 
 from __future__ import annotations
@@ -38,152 +41,97 @@ TAGS = (
     TAG_GL,
 )
 
-Vector = tuple[Fraction, ...]
-
 
 @dataclass(frozen=True)
 class WeightSystem:
+    """The weights and roots of a system, and its distinct weight
+    hyperplanes on its dominant chamber."""
+
     tag: str
-    rank: int
-    ambient: int
-    weights: tuple[Vector, ...]
-    roots: tuple[Vector, ...]
-    chamber_facets: tuple[Vector, ...]
-    ambient_eqs: tuple[Vector, ...] = ()
+    weights: tuple[tuple, ...]
+    roots: tuple[tuple, ...]
+    arrangement: Arrangement
 
 
-def _vec(*entries) -> Vector:
-    return tuple(Fraction(v) for v in entries)
+def _signed_units(n: int, scale: int = 1) -> list[tuple[int, ...]]:
+    """+-scale * e_i for i = 1..n, each + before its -."""
+    return [
+        tuple(s * scale if c == i else 0 for c in range(n))
+        for i in range(n)
+        for s in (1, -1)
+    ]
 
 
-def _unit(n: int, i: int, scale=1) -> Vector:
-    return tuple(Fraction(scale if j == i else 0) for j in range(n))
+def _pm_pairs(n: int) -> list[tuple[int, ...]]:
+    """+-e_i +- e_j for every i < j."""
+    return [
+        tuple(si if c == i else sj if c == j else 0 for c in range(n))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for si in (1, -1)
+        for sj in (1, -1)
+    ]
 
 
-def _pm_pairs(n: int):
-    for i in range(n):
-        for j in range(i + 1, n):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    vec = [Fraction(0)] * n
-                    vec[i] = Fraction(si)
-                    vec[j] = Fraction(sj)
-                    yield tuple(vec)
-
-
-def _bn_roots(n: int) -> tuple[Vector, ...]:
-    roots = [_unit(n, i, s) for i in range(n) for s in (1, -1)]
-    roots += list(_pm_pairs(n))
-    return tuple(roots)
-
-
-def _cn_roots(n: int) -> tuple[Vector, ...]:
-    roots = [_unit(n, i, 2 * s) for i in range(n) for s in (1, -1)]
-    roots += list(_pm_pairs(n))
-    return tuple(roots)
-
-
-def _halves() -> list[Vector]:
-    """(+-1/2, +-1/2, +-1/2, +-1/2), every choice of signs."""
-    return [tuple(Fraction(s, 2) for s in signs) for signs in product((1, -1), repeat=4)]
-
-
-def _differences(n: int) -> list[Vector]:
+def _differences(n: int) -> list[tuple[int, ...]]:
     """e_i - e_j for every ordered pair i != j."""
     return [
-        tuple(Fraction((c == i) - (c == j)) for c in range(n))
+        tuple((c == i) - (c == j) for c in range(n))
         for i in range(n)
         for j in range(n)
         if i != j
     ]
 
 
-def _f4_roots() -> tuple[Vector, ...]:
-    roots = [_unit(4, i, s) for i in range(4) for s in (1, -1)]
-    roots += list(_pm_pairs(4))
-    return tuple(roots + _halves())
-
-
-def _g2_roots() -> tuple[Vector, ...]:
-    roots = _differences(3)
-    for i in range(3):
-        vec = [Fraction(-1)] * 3
-        vec[i] = Fraction(2)
-        roots.append(tuple(vec))
-        roots.append(tuple(-v for v in vec))
-    return tuple(roots)
-
-
-def _bc_chamber(n: int) -> tuple[Vector, ...]:
-    return difference_walls(n) + (_unit(n, n - 1),)
-
-
-def _zero(n: int) -> Vector:
-    return tuple(Fraction(0) for _ in range(n))
-
-
 def weight_system(tag: str, n: Optional[int] = None) -> WeightSystem:
     """Build one of the named systems; classical tags need a rank n."""
+    ambient_eqs = ()
     if tag in (TAG_SO_ODD_V, TAG_SP_V, TAG_SP_LAMBDA, TAG_SP_BOTH, TAG_GL):
         if n is None or n < 1:
             raise ValueError(f"{tag} needs a rank n >= 1")
-    if tag == TAG_SO_ODD_V:
-        weights = tuple(
-            [_unit(n, i, s) for i in range(n) for s in (1, -1)] + [_zero(n)]
-        )
-        return WeightSystem(tag, n, n, weights, _bn_roots(n), _bc_chamber(n))
-    if tag == TAG_SP_V:
-        weights = tuple(_unit(n, i, s) for i in range(n) for s in (1, -1))
-        return WeightSystem(tag, n, n, weights, _cn_roots(n), _bc_chamber(n))
-    if tag == TAG_SP_LAMBDA:
-        weights = tuple(list(_pm_pairs(n)) + [_zero(n)] * (n - 1))
-        return WeightSystem(tag, n, n, weights, _cn_roots(n), _bc_chamber(n))
-    if tag == TAG_SP_BOTH:
-        v = [_unit(n, i, s) for i in range(n) for s in (1, -1)]
-        lam = list(_pm_pairs(n)) + [_zero(n)] * (n - 1)
-        return WeightSystem(
-            tag, n, n, tuple(v + lam), _cn_roots(n), _bc_chamber(n)
-        )
-    if tag == TAG_F4:
-        half = Fraction(1, 2)
-        weights = [_unit(4, i, s) for i in range(4) for s in (1, -1)] + _halves()
-        weights += [_zero(4), _zero(4)]
-        chamber = (
-            _vec(0, 1, -1, 0),
-            _vec(0, 0, 1, -1),
-            _vec(0, 0, 0, 1),
-            (half, -half, -half, -half),
-        )
-        return WeightSystem(tag, 4, 4, tuple(weights), _f4_roots(), chamber)
-    if tag == TAG_G2:
-        weights = _differences(3) + [_zero(3)]
-        chamber = (_vec(1, -1, 0), _vec(-2, 1, 1))
-        return WeightSystem(
-            tag,
-            2,
-            3,
-            tuple(weights),
-            _g2_roots(),
-            chamber,
-            ambient_eqs=(_vec(1, 1, 1),),
-        )
-    if tag == TAG_GL:
-        weights = [_unit(n, i) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                vec = [Fraction(0)] * n
-                vec[i] = Fraction(1)
-                vec[j] = Fraction(1)
-                weights.append(tuple(vec))
-        roots = tuple(_differences(n))
-        return WeightSystem(tag, n, n, tuple(weights), roots, difference_walls(n))
-    raise ValueError(f"unknown weight system tag {tag!r}")
+        dim, units = n, _signed_units(n)
+    if tag in (TAG_SO_ODD_V, TAG_SP_V, TAG_SP_LAMBDA, TAG_SP_BOTH):
+        pairs, zeros = _pm_pairs(n), [(0,) * n] * (n - 1)
+        weights = {
+            TAG_SO_ODD_V: units + [(0,) * n],
+            TAG_SP_V: units,
+            TAG_SP_LAMBDA: pairs + zeros,
+            TAG_SP_BOTH: units + pairs + zeros,
+        }[tag]
+        roots = (units if tag == TAG_SO_ODD_V else _signed_units(n, 2)) + pairs
+        walls = difference_walls(n) + (units[-2],)  # units[-2] = e_n: x_n >= 0
+    elif tag == TAG_F4:
+        dim, units = 4, _signed_units(4)
+        # (+-1/2, +-1/2, +-1/2, +-1/2), every choice of signs
+        halves = [tuple(Fraction(s, 2) for s in signs) for signs in product((1, -1), repeat=4)]
+        weights = units + halves + [(0,) * 4] * 2
+        roots = units + _pm_pairs(4) + halves
+        simple_half = tuple(Fraction(s, 2) for s in (1, -1, -1, -1))
+        walls = ((0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), simple_half)
+    elif tag == TAG_G2:
+        dim, differences = 3, _differences(3)
+        weights = differences + [(0, 0, 0)]
+        longs = [tuple(2 if c == i else -1 for c in range(3)) for i in range(3)]
+        roots = differences + [r for v in longs for r in (v, tuple(-x for x in v))]
+        walls, ambient_eqs = ((1, -1, 0), (-2, 1, 1)), ((1, 1, 1),)
+    elif tag == TAG_GL:
+        basis = units[::2]  # e_1, ..., e_n
+        weights = basis + [
+            tuple(a + b for a, b in zip(basis[i], basis[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+        ]
+        roots, walls = _differences(n), difference_walls(n)
+    else:
+        raise ValueError(f"unknown weight system tag {tag!r}")
+    arr = Arrangement(dim, dedupe_hyperplanes(weights), walls, ambient_eqs)
+    return WeightSystem(tag, tuple(weights), tuple(roots), arr)
 
 
 @dataclass(frozen=True)
 class Certificate:
-    weight: Vector
-    root: Vector
+    weight: tuple
+    root: tuple
     multiplier: Fraction
 
 
@@ -192,42 +140,35 @@ class ProportionalityReport:
     tag: str
     certificates: tuple[Certificate, ...]
     zero_weights: int
-    failures: tuple[Vector, ...]
+    failures: tuple[tuple, ...]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def _proportional(w: Vector, a: Vector) -> Optional[Fraction]:
-    for k in range(len(a)):
-        if a[k] != 0:
-            c = w[k] / a[k]
-            if c != 0 and all(w[m] == c * a[m] for m in range(len(w))):
-                return c
-            return None
-    return None
-
-
 def check_weights_proportional_to_roots(ws: WeightSystem) -> ProportionalityReport:
-    """Certificate table: each nonzero weight as a multiple of some root.
+    """Certificate table: each nonzero weight as a multiple of the first root
+    on its hyperplane.
 
     Zero weights define no hyperplane and are skipped; any weight without a
     certificate is listed as a failure and the report is negative."""
+    first_root = {}
+    for root in ws.roots:
+        first_root.setdefault(_canonical_hyperplane(root), root)
     certificates = []
     failures = []
     zeros = 0
     for w in ws.weights:
-        if all(v == 0 for v in w):
+        canon = _canonical_hyperplane(w)
+        if not any(canon):
             zeros += 1
-            continue
-        for root in ws.roots:
-            c = _proportional(w, root)
-            if c is not None:
-                certificates.append(Certificate(w, root, c))
-                break
-        else:
+        elif canon not in first_root:
             failures.append(w)
+        else:
+            root = first_root[canon]
+            k = next(k for k, v in enumerate(root) if v != 0)
+            certificates.append(Certificate(w, root, Fraction(w[k]) / root[k]))
     return ProportionalityReport(
         ws.tag, tuple(certificates), zeros, tuple(failures)
     )
@@ -244,37 +185,22 @@ def _canonical_hyperplane(vec) -> tuple[int, ...]:
     """The primitive int normal of vec whose first nonzero entry is positive
     (all zeros for the zero vector)."""
     ints = integer_row(vec)
-    g = gcd(*ints)
-    if g:
-        ints = [v // g for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v != 0), 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def dedupe_hyperplanes(vectors) -> tuple[tuple[int, ...], ...]:
     """Distinct hyperplanes from a weight list of ints and Fractions:
     primitive int normals up to sign, zero vectors dropped, first-seen order
     kept."""
-    seen = []
-    for vec in vectors:
-        canon = _canonical_hyperplane(vec)
-        if any(canon) and canon not in seen:
-            seen.append(canon)
-    return tuple(seen)
-
-
-def system_arrangement(ws: WeightSystem) -> Arrangement:
-    """The distinct weight hyperplanes of a system on its dominant chamber."""
-    return Arrangement(
-        ws.ambient, dedupe_hyperplanes(ws.weights), ws.chamber_facets, ws.ambient_eqs
-    )
+    canons = dict.fromkeys(_canonical_hyperplane(vec) for vec in vectors)
+    return tuple(canon for canon in canons if any(canon))
 
 
 def chamber_cell_counts(tag: str, n: Optional[int] = None):
     """Counts of chamber cells by dimension for a named system, from the
     generic sign search.  Meant for the small degenerate checks."""
-    ws = weight_system(tag, n)
-    _, counts = enumerate_generic_cells(system_arrangement(ws))
-    return counts[: ws.rank + 1]
+    _, counts = enumerate_generic_cells(weight_system(tag, n).arrangement)
+    return counts

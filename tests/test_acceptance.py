@@ -220,7 +220,7 @@ def test_07_geometric_rays(announce, cells_by_n):
     started = time.monotonic()
     ok = True
     for n in range(1, 5):
-        rays = rays_geometric(n, cells=cells_by_n[n])
+        rays = rays_geometric(cells_by_n[n])
         ok &= all(all(v in (-1, 0, 1) for v in r) for r in rays)
         ok &= set(rays) == {ray_from_index(n, p) for p in all_points(n)}
         ok &= len(rays) == len(all_points(n))

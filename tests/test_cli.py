@@ -150,6 +150,7 @@ def test_rows_longer_than_the_digit_limit(capsys):
             argv = ("count", "--faces", "-n", "1300", "-k", "650", "--format", fmt)
             code, out[fmt], _ = run(capsys, *argv)
             assert code == 0, fmt
+            assert sys.get_int_max_str_digits() == 640, "main restores the limit"
     finally:
         sys.set_int_max_str_digits(limit)
     assert out["text"] == f"{value}\n"

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -277,7 +278,7 @@ def test_simplex_matches_the_fraction_tableau(program):
     scales = [lcm(*(Fraction(v).denominator for v in row)) for row in rows]
     int_rows = [[int(v * c) for v in row] for row, c in zip(rows, scales)]
     int_rhs = [b * c for b, c in zip(rhs, scales)]
-    ours, ref = {}, {}
+    ours, ref = Counter(), {}
     assert simplex_max(int_rows, int_rhs, objective, basis, stats=ours) == reference_simplex_max(
         rows, rhs, objective, basis, stats=ref
     )
@@ -352,7 +353,7 @@ def reference_cone_positive(eq, functional, weak, dim, *, stats=None):
 @example((3, [(2, -1, 0)], [(1, 0, 0), (0, 0, 1)], [(0, 1, 0)], (1, 0, 0)))
 def test_lp_witnesses_hold_and_match_the_reference(system):
     dim, eq, strict, weak, functional = system
-    ours, ref = {}, {}
+    ours, ref = Counter(), {}
     witness = strict_feasible(eq, strict, weak, dim, stats=ours)
     point = cone_positive(eq, functional, weak, dim, stats=ours)
     # the int tableau is the reference's Fraction tableau up to positive
@@ -363,12 +364,12 @@ def test_lp_witnesses_hold_and_match_the_reference(system):
     # a row stands for its positive multiples: clearing the denominators of
     # the input rows moves no witness and no pivot
     int_eq, int_strict, int_weak = ([cleared(r) for r in rows] for rows in (eq, strict, weak))
-    whole = {}
+    whole = Counter()
     assert strict_feasible(int_eq, int_strict, int_weak, dim, stats=whole) == witness
     assert cone_positive(int_eq, cleared(functional), int_weak, dim, stats=whole) == point
     assert whole == ours
     # one LP behind both questions: a functional is one strict row
-    cone, single = {}, {}
+    cone, single = Counter(), Counter()
     assert cone_positive(eq, functional, weak, dim, stats=cone) == strict_feasible(
         eq, [functional], weak, dim, stats=single
     )
@@ -570,8 +571,8 @@ def test_cap_refusals():
 
 
 def test_rays_geometric_small():
-    assert rays_geometric(1) == [(1,), (-1,)]
-    assert set(rays_geometric(2)) == {
+    assert rays_geometric(enumerate_cells(1)) == [(1,), (-1,)]
+    assert set(rays_geometric(enumerate_cells(2))) == {
         (1, 0),
         (0, -1),
         (1, 1),
@@ -579,7 +580,7 @@ def test_rays_geometric_small():
         (-1, -1),
     }
     for n in (2, 3):
-        rays = rays_geometric(n)
+        rays = rays_geometric(enumerate_cells(n))
         assert set(rays) == {ray_from_index(n, p) for p in all_points(n)}
         for r in rays:
             assert all(v in (-1, 0, 1) for v in r)
@@ -616,7 +617,7 @@ def test_rays_geometric_rejects_a_non_lattice_witness():
     bad = (Fraction(1), Fraction(1, 2))
     cells.cells[pos] = dataclasses.replace(cells.cells[pos], witness=bad)
     with pytest.raises(CertificateError):
-        rays_geometric(2, cells=cells)
+        rays_geometric(cells)
 
 
 def _record_cone_positive(log):
@@ -669,10 +670,9 @@ def test_flats_cross_check_with_ensembles():
         assert realized == expected
 
 
-def _flats_from_cells(arr):
+def _flats_from_cells(cells):
     """Flats read off the cells: the cuts that vanish on a cell are a flat's
     tight set, and the flat's dimension is the largest of such a cell."""
-    cells, _ = enumerate_generic_cells(arr)
     dims = {}
     for cut_signs, _, dim, _ in cells:
         zeros = frozenset(c for c, s in enumerate(cut_signs) if s == 0)
@@ -710,10 +710,13 @@ def test_flats_match_the_cells_of_the_same_arrangement(tag, n):
     elif tag is None:
         arr = gl_arrangement(n)
     else:
-        arr = wsys.system_arrangement(weight_system(tag, n))
+        arr = weight_system(tag, n).arrangement
+    cells, cell_counts = enumerate_generic_cells(arr)
     flats, counts = enumerate_generic_flats(arr)
-    assert dict(flats) == _flats_from_cells(arr)
+    assert dict(flats) == _flats_from_cells(cells)
     assert sum(counts) == len(flats)
+    # both searches size the count row by the dimension of {ambient_eqs = 0}
+    assert len(cell_counts) == len(counts)
 
 
 def _reference_closure(arr, T):
@@ -743,7 +746,7 @@ def _reference_closure(arr, T):
 def _check_closure(arr, T):
     log = []
     with _record_cone_positive(log):
-        result = flat_oracle._closure(arr, T, {})
+        result = flat_oracle._closure(arr, T, Counter())
     assert result == _reference_closure(arr, T)
     # every LP is posed in the kernel's coordinates, with no equality rows,
     # and only the last sum-of-walls round can be infeasible
@@ -774,7 +777,7 @@ def test_closure_matches_the_per_wall_rule(case):
 
 @pytest.mark.parametrize("tag, n", _ARRANGEMENTS, ids=_ARRANGEMENT_IDS)
 def test_closure_on_weight_systems_matches_the_per_wall_rule(tag, n):
-    arr = gl_arrangement(n) if tag is None else wsys.system_arrangement(weight_system(tag, n))
+    arr = gl_arrangement(n) if tag is None else weight_system(tag, n).arrangement
     for size in range(4):
         for T in itertools.combinations(range(len(arr.cuts)), size):
             _check_closure(arr, frozenset(T))
@@ -849,6 +852,35 @@ def test_proportionality_certificates():
     assert g2.ok and g2.zero_weights == 1 and len(g2.certificates) == 6
     sp = check_weights_proportional_to_roots(weight_system(wsys.TAG_SP_V, 3))
     assert {c.multiplier for c in sp.certificates} == {Fraction(1, 2), Fraction(-1, 2)}
+
+
+def _reference_proportionality(ws):
+    """The pairwise scan: each nonzero weight against the roots in order,
+    certified by the first root it is a nonzero multiple of."""
+    certificates, failures = [], []
+    for w in ws.weights:
+        if not any(w):
+            continue
+        for root in ws.roots:
+            k = next(k for k, v in enumerate(root) if v != 0)
+            c = Fraction(w[k]) / root[k]
+            if c != 0 and all(a == c * b for a, b in zip(w, root)):
+                certificates.append((w, root, c))
+                break
+        else:
+            failures.append(w)
+    return certificates, failures
+
+
+def test_certificates_match_the_pairwise_scan():
+    # the first root on a weight's hyperplane is the first root in list
+    # order that the weight is a multiple of
+    classical = [tag for tag in wsys.TAGS if tag not in (wsys.TAG_F4, wsys.TAG_G2)]
+    systems = [weight_system(tag, n) for tag in classical for n in range(1, 5)]
+    for ws in systems + [weight_system(wsys.TAG_F4), weight_system(wsys.TAG_G2)]:
+        report = check_weights_proportional_to_roots(ws)
+        certificates = [(c.weight, c.root, c.multiplier) for c in report.certificates]
+        assert (certificates, list(report.failures)) == _reference_proportionality(ws)
 
 
 def test_gl_weights_are_not_wall_multiples():
