@@ -13,9 +13,10 @@ could not be written.  A refusal is raised as ``UsageError`` (or the oracle's
 ``CapExceeded``) wherever it is decided; ``main`` alone reports it.  Every
 subcommand writes its stdout through ``_emit``.
 
-An oracle cap is its flag, else the default, ``CELL_CAP`` or ``FLAT_CAP``
-of the oracle modules; a cap flag is refused (exit 2) where its oracle does
-not run.
+``--oracle-cap`` caps every oracle search that a run makes: on ``count``
+the one behind the chosen table, on ``verify --oracle`` both.  Without it
+each search keeps the default cap of its own signature; it is refused
+(exit 2) where no oracle runs.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .oracle import (
     weight_system,
 )
 from .oracle import weightsystems as wsys
-from .oracle.cells import CELL_CAP
-from .oracle.flats import FLAT_CAP
 from .poset import INF, enumerate_chains, enumerate_ensembles
 
 ENUMERATION_BOUND = 10  # largest rank where count --method enumerate walks objects
@@ -64,20 +63,6 @@ class UsageError(Exception):
     """A refused request; main prints its message and exits 2."""
 
 
-# table -> (flag destination, default) of its oracle cap
-_ORACLE_CAPS = {
-    "faces": ("oracle_cap_cells", CELL_CAP),
-    "flats": ("oracle_cap_flats", FLAT_CAP),
-}
-
-
-def _oracle_cap(args: argparse.Namespace, table: str) -> int:
-    """Cap of the oracle behind one table: its flag, else the default."""
-    dest, default = _ORACLE_CAPS[table]
-    cap = getattr(args, dest)
-    return default if cap is None else cap
-
-
 def _paths(table: str):
     """Recurrence, series, object enumerator and oracle of one table.
 
@@ -86,6 +71,11 @@ def _paths(table: str):
     if table == "faces":
         return ct.g_recurrence, ct.g_series, enumerate_chains, enumerate_cells
     return ct.h_recurrence, ct.h_series, enumerate_ensembles, enumerate_flats_geometric
+
+
+def _run_oracle(oracle, n: int, args: argparse.Namespace):
+    """One oracle search at rank n, capped by --oracle-cap when it is given."""
+    return oracle(n) if args.oracle_cap is None else oracle(n, cap=args.oracle_cap)
 
 
 def _emit(text: str, out: Optional[str]) -> int:
@@ -136,7 +126,7 @@ def _count_row(table: str, n: int, method: str, args: argparse.Namespace) -> lis
         return [sum(1 for _ in objects(n, k)) for k in range(n + 1)]
     if n < 1:
         raise UsageError("needs n >= 1")
-    return oracle(n, cap=_oracle_cap(args, table)).counts
+    return _run_oracle(oracle, n, args).counts
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -144,15 +134,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     if n < 0:
         raise UsageError("n must be nonnegative")
     _check_k(args.k, n)
-    # a cap flag is read only by its own table's oracle
-    for own, (dest, _) in _ORACLE_CAPS.items():
-        if getattr(args, dest) is None:
-            continue
-        flag = "--" + dest.replace("_", "-")
-        if table != own:
-            raise UsageError(f"count {flag} needs --{own}")
-        if args.method not in ("oracle", "all"):
-            raise UsageError(f"count {flag} needs --method oracle or all")
+    if args.oracle_cap is not None and args.method not in ("oracle", "all"):
+        raise UsageError("count --oracle-cap needs --method oracle or all")
 
     if args.method == "all":
         rows = {}
@@ -161,8 +144,8 @@ def cmd_count(args: argparse.Namespace) -> int:
                 rows[method] = _count_row(table, n, method, args)
             except UsageError as exc:
                 print(f"skipped: {method} ({exc})", file=sys.stderr)
-            except CapExceeded:
-                print(f"skipped: {method} (cap {_oracle_cap(args, table)})", file=sys.stderr)
+            except CapExceeded as exc:
+                print(f"skipped: {method} (cap {exc.cap})", file=sys.stderr)
         row = rows["recurrence"]
         for method, other in rows.items():
             if other != row:
@@ -361,7 +344,7 @@ def _verify_oracle(n: int, args: argparse.Namespace) -> int:
     for table, part in (("faces", "cells"), ("flats", "flats")):
         recurrence, _, _, oracle = _paths(table)
         started = time.monotonic()
-        found = oracle(n, cap=_oracle_cap(args, table))
+        found = _run_oracle(oracle, n, args)
         elapsed.append(f"{part} {time.monotonic() - started:.2f}s")
         expected = [recurrence(n, k) for k in range(n + 1)]
         report[part] = {
@@ -420,12 +403,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.n < 1:
             raise UsageError("n must be at least 1")
         return _verify_oracle(args.n, args)
-    # the rank and the caps are the oracle's; no other check takes them
-    for flag, value in (
-        ("-n", args.n),
-        ("--oracle-cap-cells", args.oracle_cap_cells),
-        ("--oracle-cap-flats", args.oracle_cap_flats),
-    ):
+    # the rank and the cap are the oracle's; no other check takes them
+    for flag, value in (("-n", args.n), ("--oracle-cap", args.oracle_cap)):
         if value is not None:
             raise UsageError(f"verify {flag} needs --oracle")
     if args.non_simply_laced:
@@ -434,11 +413,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # --- wiring ------------------------------------------------------------------
-
-
-def _add_cap_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--oracle-cap-cells", type=int, default=None)
-    sub.add_argument("--oracle-cap-flats", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     count.add_argument("--format", choices=["text", "json", "csv"], default="text")
     count.add_argument("--out", default=None)
-    _add_cap_flags(count)
+    count.add_argument("--oracle-cap", type=int, default=None)
     count.set_defaults(func=cmd_count)
 
     enum = commands.add_parser("enumerate", help="stream objects, one per line")
@@ -485,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--oracle", action="store_true")
     check.add_argument("--non-simply-laced", action="store_true")
     verify.add_argument("-n", type=int, default=None)
-    _add_cap_flags(verify)
+    verify.add_argument("--oracle-cap", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
 
     return parser

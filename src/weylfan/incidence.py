@@ -22,7 +22,6 @@ from .poset import (
     PosetPoint,
     all_points,
     enumerate_ensembles,
-    is_chain,
     sort_key,
 )
 
@@ -69,10 +68,11 @@ class Face:
 
 def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
     pts = sorted(set(points), key=sort_key)
-    for p in pts:
-        if p.level < 1 or p.level > n:
-            raise ValueError(f"{p} is not in E*_{n}")
-    if not is_chain(pts):
+    # sorted by level first, so the ends hold the lowest and highest levels
+    if pts and (pts[0].level < 1 or pts[-1].level > n):
+        stray = next(p for p in pts if not 1 <= p.level <= n)
+        raise ValueError(f"{stray} is not in E*_{n}")
+    if not all(p < q for p, q in zip(pts, pts[1:])):
         raise ValueError(f"{pts} is not a chain")
     return Face(n, tuple(pts))
 

@@ -5,9 +5,8 @@ coordinates: no chains, ensembles, tableaux or other combinatorial models are
 consulted, so its outputs can arbitrate the combinatorial layers.
 """
 
-from .arrangement import Arrangement, SignCondition, gl_arrangement
+from .arrangement import Arrangement, CapExceeded, SignCondition, gl_arrangement
 from .cells import (
-    CapExceeded,
     CellEnumeration,
     adjacency_from_cells,
     cell_feasible,

@@ -5,11 +5,18 @@ hyperplanes stratify the cone, and the cone {walls >= 0, ambient_eqs = 0}
 that they cut.  The gl_n picture of the paper is one such value: the weights
 x_i + x_j (i <= j) cut the dual fundamental chamber x_1 >= ... >= x_n.
 A `SignCondition` gives one sign per row of that picture, cuts then walls.
+
+Both searches share two rules kept here: `check_rank` refuses a rank below 1
+or above a cap before any work, and `Arrangement.count_row` tallies what a
+search found by dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
+from .linalg import rank_of
 
 WeightIndex = tuple[int, int]
 
@@ -29,6 +36,32 @@ class Arrangement:
             if any(len(row) != self.dim for row in rows):
                 raise ValueError(f"every row of {name} needs {self.dim} entries")
             object.__setattr__(self, name, rows)
+
+    def count_row(self, dims: Iterable[int]) -> list[int]:
+        """How many of dims equal each dimension, up to that of the space
+        {ambient_eqs = 0}."""
+        counts = [0] * (self.dim - rank_of(self.ambient_eqs) + 1)
+        for d in dims:
+            counts[d] += 1
+        return counts
+
+
+class CapExceeded(RuntimeError):
+    """Raised instead of silently attempting an oversized search; `cap` is
+    the largest rank that was allowed."""
+
+    def __init__(self, message: str, cap: int) -> None:
+        super().__init__(message)
+        self.cap = cap
+
+
+def check_rank(n: int, cap: int, space: str) -> None:
+    """Refuse a rank below 1 or above cap; space says what the search at
+    rank n ranges over."""
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    if n > cap:
+        raise CapExceeded(f"{space}; the configured cap is {cap}", cap)
 
 
 def weight_indices(n: int) -> list[WeightIndex]:

@@ -17,15 +17,11 @@ from fractions import Fraction
 from typing import Optional
 
 from ..search import depth_first
-from .arrangement import Arrangement, SignCondition, gl_arrangement
+from .arrangement import Arrangement, SignCondition, check_rank, gl_arrangement
 from .linalg import dot, integer_row, rank_of
 from .simplex import CertificateError, strict_feasible
 
 CELL_CAP = 5  # default largest rank of enumerate_cells
-
-
-class CapExceeded(RuntimeError):
-    """Raised instead of silently attempting an oversized search."""
 
 
 @dataclass(frozen=True)
@@ -116,22 +112,17 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[Counter] = None
             eq, _ = _split_rows(rows, signs)
             d = dim - rank_of(ambient + eq)
             out.append((signs[:n_cuts], signs[n_cuts:], d, found and found[0]))
-    # one slot per dimension, up to that of the space {ambient_eqs = 0}
-    counts = [0] * (dim - rank_of(ambient) + 1)
-    for _, _, d, _ in out:
-        counts[d] += 1
-    return out, counts
+    return out, arr.count_row(d for _, _, d, _ in out)
 
 
 def enumerate_cells(n: int, *, cap: int = CELL_CAP) -> CellEnumeration:
     """Every cell of the rank-n picture, tallied by dimension."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    if n > cap:
-        raise CapExceeded(
-            f"cell enumeration at rank {n} walks a 3^(n(n+1)/2) * 2^(n-1) = "
-            f"3^{n * (n + 1) // 2} * 2^{n - 1} sign space; the configured cap is {cap}"
-        )
+    check_rank(
+        n,
+        cap,
+        f"cell enumeration at rank {n} walks a 3^(n(n+1)/2) * 2^(n-1) = "
+        f"3^{n * (n + 1) // 2} * 2^{n - 1} sign space",
+    )
     stats = Counter()
     raw, counts = enumerate_generic_cells(gl_arrangement(n), stats=stats)
     cells = [

@@ -38,9 +38,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .arrangement import Arrangement, gl_arrangement, weight_indices
-from .cells import CapExceeded
-from .linalg import dot, kernel_basis, lift, rank_of, restrict
+from .arrangement import Arrangement, check_rank, gl_arrangement, weight_indices
+from .linalg import dot, kernel_basis, lift, restrict
 from .simplex import cone_positive
 
 FLAT_CAP = 7  # default largest rank of enumerate_flats_geometric
@@ -116,24 +115,19 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None
                 dims[closed] = dim
                 queue.append(closed)
     flats = sorted(dims.items(), key=lambda kv: (kv[1], len(kv[0]), sorted(kv[0])))
-    # one slot per dimension, up to that of the space {ambient_eqs = 0}
-    counts = [0] * (arr.dim - rank_of(arr.ambient_eqs) + 1)
-    for _, dim in flats:
-        counts[dim] += 1
     stats["flats"] = len(flats)
     stats["closures"] = len(cache)
-    return flats, counts
+    return flats, arr.count_row(dim for _, dim in flats)
 
 
 def enumerate_flats_geometric(n: int, *, cap: int = FLAT_CAP) -> FlatEnumeration:
     """Every flat of the rank-n picture, its tight set as weight boxes."""
-    if n < 1:
-        raise ValueError("rank must be at least 1")
-    if n > cap:
-        raise CapExceeded(
-            f"flat enumeration at rank {n} ranges over 2^(n(n+1)/2) = "
-            f"2^{n * (n + 1) // 2} generator subsets; the configured cap is {cap}"
-        )
+    check_rank(
+        n,
+        cap,
+        f"flat enumeration at rank {n} ranges over 2^(n(n+1)/2) = "
+        f"2^{n * (n + 1) // 2} generator subsets",
+    )
     stats = Counter()
     raw, counts = enumerate_generic_flats(gl_arrangement(n), stats=stats)
     boxes = weight_indices(n)

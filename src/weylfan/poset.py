@@ -145,9 +145,9 @@ Chain = tuple[PosetPoint, ...]
 
 
 def is_chain(points: Iterable[PosetPoint]) -> bool:
+    # sort_key is injective, so a repeated point sits next to its twin and
+    # fails the strict comparison
     pts = sorted(points, key=sort_key)
-    if len(set(pts)) != len(pts):
-        return False
     return all(p < q for p, q in zip(pts, pts[1:]))
 
 
@@ -287,10 +287,6 @@ class Ensemble:
     @property
     def rank(self) -> int:
         return len({p.level for p in self.realized()})
-
-    @property
-    def interval_count(self) -> int:
-        return len(self.intervals)
 
     def __repr__(self) -> str:
         body = " u ".join(repr(iv) for iv in self.intervals)

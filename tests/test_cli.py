@@ -161,31 +161,39 @@ def test_rows_longer_than_the_digit_limit(capsys):
 def test_count_oracle_cap_override(capsys):
     code, _, err = run(
         capsys,
-        "count", "--faces", "-n", "2", "--method", "oracle",
-        "--oracle-cap-cells", "1",
+        "count", "--faces", "-n", "2", "--method", "oracle", "--oracle-cap", "1",
     )
     assert code == 2 and "cap is 1" in err
     code, out, _ = run(
         capsys,
-        "count", "--faces", "-n", "2", "--method", "oracle",
-        "--oracle-cap-cells", "2",
+        "count", "--faces", "-n", "2", "--method", "oracle", "--oracle-cap", "2",
     )
     assert code == 0 and out == "1 5 4\n"
+    # --method all reports the cap that skipped the oracle
+    code, out, err = run(
+        capsys, "count", "--faces", "-n", "3", "--method", "all", "--oracle-cap", "2"
+    )
+    assert code == 0 and "skipped: oracle (cap 2)" in err
+    assert out == "1 9 16 8\n"
+    # verify --oracle caps both searches; the cell search refuses first
+    code, out, err = run(capsys, "verify", "--oracle", "-n", "2", "--oracle-cap", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "cell enumeration at rank 2 walks a 3^(n(n+1)/2) * 2^(n-1) = "
+        "3^3 * 2^1 sign space; the configured cap is 1\n"
+    )
 
 
 def test_count_refuses_cap_flags_it_cannot_honour(capsys):
-    # a cap flag is read only by the oracle of its own table
-    method = "needs --method oracle or all"
-    for argv, needs in (
-        (("--faces", "--oracle-cap-cells", "9"), method),
-        (("--flats", "--method", "series", "--oracle-cap-flats", "9"), method),
-        (("--faces", "--method", "all", "--oracle-cap-flats", "9"), "needs --flats"),
-        (("--flats", "--method", "oracle", "--oracle-cap-cells", "9"), "needs --faces"),
+    # the cap is read only by an oracle search
+    for argv in (
+        ("--faces", "--oracle-cap", "9"),
+        ("--flats", "--method", "series", "--oracle-cap", "9"),
     ):
         code, out, err = run(capsys, "count", "-n", "3", *argv)
-        assert code == 2 and out == "" and needs in err
+        assert code == 2 and out == "" and "needs --method oracle or all" in err
     code, out, _ = run(
-        capsys, "count", "--flats", "-n", "3", "--method", "all", "--oracle-cap-flats", "3"
+        capsys, "count", "--flats", "-n", "3", "--method", "all", "--oracle-cap", "3"
     )
     assert code == 0 and out == "1 5 6 1\n"
 
@@ -193,8 +201,16 @@ def test_count_refuses_cap_flags_it_cannot_honour(capsys):
 def test_removed_flags_are_unknown(capsys):
     code, _, err = run(capsys, "count", "--faces", "-n", "3", "--threads", "2")
     assert code == 2 and "--threads" in err
-    code, _, err = run(capsys, "graph", "-n", "2", "--oracle-cap-cells", "2")
-    assert code == 2 and "--oracle-cap-cells" in err
+    code, _, err = run(capsys, "graph", "-n", "2", "--oracle-cap", "2")
+    assert code == 2 and "--oracle-cap" in err
+    # one --oracle-cap replaced the per-search cap flags
+    for flag in ("--oracle-cap-cells", "--oracle-cap-flats"):
+        for argv in (
+            ("count", "--faces", "-n", "2", "--method", "oracle"),
+            ("verify", "--oracle", "-n", "2"),
+        ):
+            code, out, err = run(capsys, *argv, flag, "2")
+            assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err
 
 
 def test_enumerate_chambers(capsys):
@@ -346,8 +362,8 @@ def test_verify_refuses_flags_it_cannot_honour(capsys):
     for argv in (
         ("-n", "3"),
         ("--non-simply-laced", "-n", "2"),
-        ("--oracle-cap-cells", "9"),
-        ("--non-simply-laced", "--oracle-cap-flats", "2"),
+        ("--oracle-cap", "9"),
+        ("--non-simply-laced", "--oracle-cap", "2"),
     ):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == "" and "needs --oracle" in err

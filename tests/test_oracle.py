@@ -561,13 +561,17 @@ def test_cap_refusals():
     with pytest.raises(CapExceeded) as err:
         enumerate_cells(6)
     assert "3^(n(n+1)/2)" in str(err.value) and "3^21 * 2^5" in str(err.value)
+    assert err.value.cap == 5
     with pytest.raises(CapExceeded) as err:
         enumerate_flats_geometric(8)
     assert "2^(n(n+1)/2)" in str(err.value) and "2^36" in str(err.value)
-    with pytest.raises(CapExceeded):
+    assert err.value.cap == 7
+    with pytest.raises(CapExceeded) as err:
         enumerate_cells(2, cap=1)
-    with pytest.raises(CapExceeded):
+    assert err.value.cap == 1
+    with pytest.raises(CapExceeded) as err:
         enumerate_flats_geometric(3, cap=2)
+    assert err.value.cap == 2
 
 
 def test_rays_geometric_small():
@@ -820,6 +824,20 @@ def test_oracle_imports_no_combinatorial_model():
                 if banned & set(name.split(".")):
                     found.append(f"{path.name}:{node.lineno} imports {name}")
     assert found == []
+
+
+def test_cli_names_no_cap_default():
+    # the cap defaults are the oracle's; the CLI passes --oracle-cap or nothing
+    path = Path(weylfan.__file__).parent / "cli.py"
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.split(".")[-1])
+    assert named & {"CELL_CAP", "FLAT_CAP"} == set()
 
 
 def test_geometric_adjacency_matches_combinatorial():

@@ -138,7 +138,7 @@ def test_ensemble_validation():
         Interval(P(1, 0), P(0, 1))  # empty interval
     e = Ensemble(3, (Interval(o, P(1, 0)), Interval(P(2, 1), INF)))
     assert e.realized() == {P(1, 0), P(2, 1)}
-    assert e.rank == 2 and e.interval_count == 2
+    assert e.rank == 2 and len(e.intervals) == 2
 
 
 def test_ensembles_n2_explicit():
