@@ -29,7 +29,8 @@ are the deduplication key.  The search starts from the closure of the empty
 set, the cone itself, whose tight set holds every cut that vanishes on the
 whole cone and whose dimension counts the walls' implicit equalities too.
 It grows closed sets one hyperplane at a time, which reaches every flat
-because closure is monotone.
+because closure is monotone.  `flat_span` is the span half of a closure;
+the cell search takes the span of the whole cone from it.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ class FlatEnumeration:
     stats: Counter = field(default_factory=Counter)
 
 
-def _closure(arr: Arrangement, T, stats):
-    """Tight closure (cut positions) and dimension of the flat cut by T."""
+def flat_span(arr: Arrangement, T, stats):
+    """Int vectors of Q^arr.dim, a basis of the span of the flat cut by T."""
     rows = [arr.cuts[c] for c in sorted(T)] + list(arr.ambient_eqs)
     free = kernel_basis(rows, arr.dim)
     d = len(free)
@@ -78,10 +79,15 @@ def _closure(arr: Arrangement, T, stats):
         if point is None:
             break  # each wall left is >= 0 on C_T and their sum is <= 0 there
         implicit = [w for w in implicit if dot(w, point) <= 0]
-    span = free
-    if implicit:
-        # the kernel of the implicit walls in Q^d, taken back to Q^dim
-        span = [lift(h, free) for h in kernel_basis(implicit, d)]
+    if not implicit:
+        return free
+    # the kernel of the implicit walls in Q^d, taken back to Q^dim
+    return [lift(h, free) for h in kernel_basis(implicit, d)]
+
+
+def _closure(arr: Arrangement, T, stats):
+    """Tight closure (cut positions) and dimension of the flat cut by T."""
+    span = flat_span(arr, T, stats)
     tight = frozenset(
         c
         for c, cut in enumerate(arr.cuts)

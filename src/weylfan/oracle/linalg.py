@@ -8,10 +8,12 @@ divides the result by the gcd of its entries, so the entries stay small and
 no Fraction is created inside any elimination loop (Bareiss 1968, Math.
 Comp. 22; Edmonds 1967, J. Res. NBS 71B).  `_reduce` is the one elimination
 loop: it brings rows to reduced row echelon form up to one factor per row.
-`rank_of` counts its pivots, and `kernel_basis` reads one kernel vector per
-free column, a primitive int vector, so products against it stay int.
+`rank_of` counts its pivots (it skips the clearing above each pivot, which
+a rank does not need), and `kernel_basis` reads one kernel vector per free
+column, a primitive int vector, so products against it stay int.
 `restrict` takes rows into the coordinates of such a basis, and `lift`
-takes a point of those coordinates back.
+takes a point of those coordinates back.  `canonical_hyperplane` is the one
+rule for when two rows give the same hyperplane.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ def integer_row(row) -> list[int]:
     """The row of ints and Fractions scaled by the lcm of its denominators."""
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def canonical_hyperplane(row) -> tuple[int, ...]:
+    """The primitive int normal of a row of ints and Fractions whose first
+    nonzero entry is positive (all zeros for the zero row): two rows give the
+    same hyperplane exactly when they give the same normal."""
+    ints = integer_row(row)
+    g = gcd(*ints) or 1
+    if next((v for v in ints if v != 0), 0) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def eliminate(row: list[int], lead: list[int], col: int) -> list[int]:
@@ -41,11 +54,12 @@ def eliminate(row: list[int], lead: list[int], col: int) -> list[int]:
     return out
 
 
-def _reduce(rows, dim: int) -> tuple[list[list[int]], list[int]]:
+def _reduce(rows, dim: int, *, above: bool = True) -> tuple[list[list[int]], list[int]]:
     """Rows of ints and Fractions in reduced row echelon form up to a nonzero
     factor per row, and their pivot columns: one `eliminate` step clears each
-    pivot column above and below its pivot.  The loop stops once every row
-    is a pivot row, since every column after that is free."""
+    pivot column below its pivot, and above it too unless above is False,
+    which leaves a row echelon form with the same pivots.  The loop stops once
+    every row is a pivot row, since every column after that is free."""
     m = [integer_row(row) for row in rows]
     pivots: list[int] = []
     for col in range(dim):
@@ -56,7 +70,7 @@ def _reduce(rows, dim: int) -> tuple[list[list[int]], list[int]]:
         if pivot is None:
             continue
         m[lead], m[pivot] = m[pivot], m[lead]
-        for r in range(len(m)):
+        for r in range(0 if above else lead + 1, len(m)):
             if r != lead and m[r][col]:
                 m[r] = eliminate(m[r], m[lead], col)
         pivots.append(col)
@@ -64,9 +78,10 @@ def _reduce(rows, dim: int) -> tuple[list[list[int]], list[int]]:
 
 
 def rank_of(rows) -> int:
-    """Rank of rows of ints and Fractions: the number of pivots of `_reduce`."""
+    """Rank of rows of ints and Fractions: the number of pivots of `_reduce`,
+    which needs no clearing above a pivot."""
     rows = list(rows)
-    return len(_reduce(rows, len(rows[0]) if rows else 0)[1])
+    return len(_reduce(rows, len(rows[0]) if rows else 0, above=False)[1])
 
 
 def kernel_basis(rows, dim: int) -> tuple[tuple[int, ...], ...]:

@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb
 from typing import Optional
 
 from .arrangement import Arrangement, difference_walls
 from .cells import enumerate_generic_cells
-from .linalg import integer_row
+from .linalg import canonical_hyperplane
 
 TAG_SO_ODD_V = "so_{2n+1}:V"
 TAG_SP_V = "sp_n:V"
@@ -155,12 +155,12 @@ def check_weights_proportional_to_roots(ws: WeightSystem) -> ProportionalityRepo
     certificate is listed as a failure and the report is negative."""
     first_root = {}
     for root in ws.roots:
-        first_root.setdefault(_canonical_hyperplane(root), root)
+        first_root.setdefault(canonical_hyperplane(root), root)
     certificates = []
     failures = []
     zeros = 0
     for w in ws.weights:
-        canon = _canonical_hyperplane(w)
+        canon = canonical_hyperplane(w)
         if not any(canon):
             zeros += 1
         elif canon not in first_root:
@@ -181,21 +181,11 @@ def simplex_counts(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _canonical_hyperplane(vec) -> tuple[int, ...]:
-    """The primitive int normal of vec whose first nonzero entry is positive
-    (all zeros for the zero vector)."""
-    ints = integer_row(vec)
-    g = gcd(*ints) or 1
-    if next((v for v in ints if v != 0), 0) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
-
-
 def dedupe_hyperplanes(vectors) -> tuple[tuple[int, ...], ...]:
     """Distinct hyperplanes from a weight list of ints and Fractions:
     primitive int normals up to sign, zero vectors dropped, first-seen order
     kept."""
-    canons = dict.fromkeys(_canonical_hyperplane(vec) for vec in vectors)
+    canons = dict.fromkeys(canonical_hyperplane(vec) for vec in vectors)
     return tuple(canon for canon in canons if any(canon))
 
 

@@ -1,5 +1,5 @@
-"""The one tree walk behind the enumerators: chains, interval unions and
-cell sign vectors each supply only a children(node) function."""
+"""The one tree walk behind the combinatorial enumerators: chains and
+interval unions each supply only a children(node) function."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ def depth_first(root, children):
 
     children(node) is advanced one child at a time, and only after the
     previous child's subtree has been walked, so a generator may decide each
-    child as it goes (an LP, say).  The stack holds iterators, not frames,
+    child as it goes.  The stack holds iterators, not frames,
     so the depth is not bounded by the recursion limit.
     """
     stack = [iter((root,))]

@@ -89,7 +89,7 @@ def cells_by_n():
     """Geometric cell enumerations shared by the face-count and ray checks.
     Build time is recorded so the face-count check can charge itself for it."""
     started = time.monotonic()
-    cells = {n: enumerate_cells(n) for n in range(1, 6)}
+    cells = {n: enumerate_cells(n) for n in range(1, 8)}
     cells["build_seconds"] = time.monotonic() - started
     return cells
 
@@ -202,10 +202,10 @@ def test_04_chamber_bijection_and_rays(announce):
 def test_05_oracle_face_counts(announce, cells_by_n):
     started = time.monotonic()
     ok = True
-    for n in (2, 3, 4, 5):
-        ok &= cells_by_n[n].counts == GOLDEN_FACES[n]
+    for n in range(2, 8):
+        ok &= cells_by_n[n].counts == [ct.g_recurrence(n, k) for k in range(n + 1)]
     elapsed = time.monotonic() - started + cells_by_n["build_seconds"]
-    announce("5 geometric cell counts n=2..5", ok, elapsed, 300)
+    announce("5 geometric cell counts n=2..7", ok, elapsed, 300)
 
 
 def test_06_oracle_flat_counts(announce):

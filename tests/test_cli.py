@@ -109,7 +109,7 @@ def test_count_method_all(capsys):
 
 
 def test_count_refusals(capsys):
-    code, _, err = run(capsys, "count", "--faces", "-n", "6", "--method", "oracle")
+    code, _, err = run(capsys, "count", "--faces", "-n", "9", "--method", "oracle")
     assert code == 2 and "cap" in err
     code, _, err = run(capsys, "count", "-n", "3")
     assert code == 2  # neither --faces nor --flats
@@ -126,8 +126,8 @@ def test_count_refusals(capsys):
          "object enumeration is limited to n <= 10"),
         # a searched space of thousands of decimal digits is named by exponents
         (("--faces", "--method", "oracle", "-n", "134"),
-         "cell enumeration at rank 134 walks a 3^(n(n+1)/2) * 2^(n-1) = "
-         "3^9045 * 2^133 sign space; the configured cap is 5"),
+         "cell enumeration at rank 134 walks 2^n = 2^134 chambers and their "
+         "faces; the configured cap is 8"),
         (("--flats", "--method", "oracle", "-n", "169"),
          "flat enumeration at rank 169 ranges over 2^(n(n+1)/2) = "
          "2^14365 generator subsets; the configured cap is 7"),
@@ -179,8 +179,8 @@ def test_count_oracle_cap_override(capsys):
     code, out, err = run(capsys, "verify", "--oracle", "-n", "2", "--oracle-cap", "1")
     assert code == 2 and out == ""
     assert err == (
-        "cell enumeration at rank 2 walks a 3^(n(n+1)/2) * 2^(n-1) = "
-        "3^3 * 2^1 sign space; the configured cap is 1\n"
+        "cell enumeration at rank 2 walks 2^n = 2^2 chambers and their faces; "
+        "the configured cap is 1\n"
     )
 
 
@@ -352,8 +352,8 @@ def test_verify_oracle_report(capsys):
     assert_refused(
         capsys,
         ("verify", "--oracle", "-n", "200"),
-        "cell enumeration at rank 200 walks a 3^(n(n+1)/2) * 2^(n-1) = "
-        "3^20100 * 2^199 sign space; the configured cap is 5",
+        "cell enumeration at rank 200 walks 2^n = 2^200 chambers and their "
+        "faces; the configured cap is 8",
     )
 
 

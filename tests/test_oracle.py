@@ -35,6 +35,7 @@ from weylfan.oracle import (
 )
 from weylfan.oracle import weightsystems as wsys
 from weylfan.oracle import arrangement, simplex
+from weylfan.oracle import cells as cell_oracle
 from weylfan.oracle import flats as flat_oracle
 from weylfan.oracle.cells import enumerate_generic_cells
 from weylfan.oracle.linalg import dot, kernel_basis, rank_of
@@ -518,12 +519,12 @@ def _sha256(records):
 # assembly that moves a pivot, a witness or a closure shows here
 PINNED_CELLS = {
     3: (
-        {"nodes": 162, "lp_calls": 162, "pivots": 461, "witness_hits": 104, "cells": 34},
-        "352bba0456879c5d2c3ff66aff422d65a8e29809207b49d875a4662832901419",
+        {"nodes": 1, "lp_calls": 10, "pivots": 35, "witness_hits": 7, "chambers": 8, "cells": 34},
+        "8cb60aecdfd8aab187d51fffb92f58a30c84361e832640100426c08e86062051",
     ),
     4: (
-        {"nodes": 746, "lp_calls": 746, "pivots": 2988, "witness_hits": 486, "cells": 116},
-        "4f8f8935848a15822e1ada16eaffdfb261c7663e487594144332c3e4bdef6839",
+        {"nodes": 1, "lp_calls": 16, "pivots": 76, "witness_hits": 15, "chambers": 16, "cells": 116},
+        "a9e242d2625cd8ced91a4bc52929ec89306967fb93aba9376b573bac51dac281",
     ),
 }
 PINNED_FLATS = {
@@ -559,9 +560,9 @@ def test_oracle_counters_and_outputs_are_pinned():
 
 def test_cap_refusals():
     with pytest.raises(CapExceeded) as err:
-        enumerate_cells(6)
-    assert "3^(n(n+1)/2)" in str(err.value) and "3^21 * 2^5" in str(err.value)
-    assert err.value.cap == 5
+        enumerate_cells(9)
+    assert "walks 2^n = 2^9 chambers" in str(err.value)
+    assert err.value.cap == 8
     with pytest.raises(CapExceeded) as err:
         enumerate_flats_geometric(8)
     assert "2^(n(n+1)/2)" in str(err.value) and "2^36" in str(err.value)
@@ -594,7 +595,7 @@ def test_cell_closures_are_the_chains():
     # the rays in a cell's closure are those whose sign on every row is 0 or
     # the cell's own; they form a chain of the cell's dimension, and every
     # chain of E*_n, the empty one too, closes exactly one cell
-    for n in range(1, 5):
+    for n in range(1, 7):
         arr = gl_arrangement(n)
         values = {
             p: [dot(row, ray_from_index(n, p)) for row in arr.cuts + arr.walls]
@@ -684,6 +685,38 @@ def _flats_from_cells(cells):
     return dims
 
 
+def _check_cells(arr):
+    """The cells against the flats of the same arrangement and against the
+    Euler relation; every witness realizes its sign vector."""
+    cells, counts = enumerate_generic_cells(arr)
+    flats, flat_counts = enumerate_generic_flats(arr)
+    # a cell's zero set is a flat's tight set, and the flat's dimension is
+    # the largest of such a cell
+    assert dict(flats) == _flats_from_cells(cells)
+    assert sum(flat_counts) == len(flats)
+    assert sum(counts) == len(cells) == len({c[:2] for c in cells})
+    # both searches size the count row by the dimension of {ambient_eqs = 0}
+    assert len(counts) == len(flat_counts)
+    rows = arr.cuts + arr.walls
+    for cut_signs, wall_signs, dim, witness in cells:
+        values = [dot(row, witness) for row in rows]
+        assert tuple((v > 0) - (v < 0) for v in values) == cut_signs + wall_signs
+        assert all(s >= 0 for s in wall_signs)
+        assert all(dot(eq, witness) == 0 for eq in arr.ambient_eqs)
+        zero_rows = [row for row, v in zip(rows, values) if v == 0]
+        assert dim == arr.dim - rank_of(list(arr.ambient_eqs) + zero_rows)
+    # the cells subdivide the cone C: the alternating sum of their counts is
+    # the Euler characteristic, (-1)^dim C when C is a linear space (a
+    # sphere's worth of cells about the origin) and 0 otherwise (a ball's);
+    # C is linear when every wall vanishes on it
+    linear = not arr.walls or cone_positive(
+        list(arr.ambient_eqs), [sum(col) for col in zip(*arr.walls)], arr.walls, arr.dim
+    ) is None
+    top = max(dim for _, _, dim, _ in cells)
+    euler = sum((-1) ** k * c for k, c in enumerate(counts))
+    assert euler == ((-1) ** top if linear else 0)
+
+
 _TAG_IDS = {getattr(wsys, name): name[4:].lower() for name in dir(wsys) if name.startswith("TAG_")}
 _ARRANGEMENTS = (
     [(None, n) for n in range(1, 5)]
@@ -715,12 +748,7 @@ def test_flats_match_the_cells_of_the_same_arrangement(tag, n):
         arr = gl_arrangement(n)
     else:
         arr = weight_system(tag, n).arrangement
-    cells, cell_counts = enumerate_generic_cells(arr)
-    flats, counts = enumerate_generic_flats(arr)
-    assert dict(flats) == _flats_from_cells(cells)
-    assert sum(counts) == len(flats)
-    # both searches size the count row by the dimension of {ambient_eqs = 0}
-    assert len(cell_counts) == len(counts)
+    _check_cells(arr)
 
 
 def _reference_closure(arr, T):
@@ -797,6 +825,72 @@ def test_arrangement_rows_have_the_ambient_length():
     # the weight boxes are defined once, with the gl arrangement
     assert inc.weight_indices is arrangement.weight_indices
     assert gl_arrangement(2).cuts == tuple(inc.weight_functional(2, i) for i in inc.weight_indices(2))
+
+
+@example((Arrangement(2, [[1, 0]], [[1, 0], [-1, 0], [0, 1], [0, -1]]), frozenset()))
+@example((Arrangement(3, [[1, 0, 0], [2, 0, 0]], [[-1, 0, 1], [1, 0, 1], [0, -1, 1], [0, 1, 1]]), frozenset()))
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(small_arrangements())
+def test_cells_match_the_flats_and_realize_their_signs(case):
+    _check_cells(case[0])
+
+
+def test_a_cut_through_a_square_cone_takes_the_face_fallback():
+    # the cone over a square cut through two opposite edges: each chamber
+    # has four facets in Q^3, so neither is simplicial, and the faces come
+    # from the flat search over its facets
+    square = Arrangement(3, [(1, 0, 0)], [(-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1)])
+    stats = Counter()
+    _, counts = enumerate_generic_cells(square, stats=stats)
+    assert counts == [1, 6, 7, 2]
+    assert stats["chambers"] == stats["nodes"] == 2 and stats["witness_hits"] == 0
+    _check_cells(square)
+
+
+def test_a_wrong_ray_or_witness_fails_the_certificate(monkeypatch):
+    # every ray pointing the wrong way: the pivot guesses fail their check,
+    # and the LP facets' rays raise, under python -O too
+    real_ray = cell_oracle._ray
+
+    def reversed_ray(*args):
+        ray = real_ray(*args)
+        return None if ray is None else tuple(-v for v in ray)
+
+    monkeypatch.setattr(cell_oracle, "_ray", reversed_ray)
+    with pytest.raises(CertificateError):
+        enumerate_cells(2)
+    monkeypatch.undo()
+    # a witness off its face fails the recheck on the original rows
+    real_lift = cell_oracle.lift
+
+    def shifted(coeffs, basis):
+        point = real_lift(coeffs, basis)
+        return [point[0] + 1] + point[1:]
+
+    monkeypatch.setattr(cell_oracle, "lift", shifted)
+    with pytest.raises(CertificateError):
+        enumerate_cells(2)
+
+
+def test_a_wrong_pivot_falls_back_to_the_facet_lps(monkeypatch):
+    # a guessed ray moved inside its chamber keeps every signed row >= 0 but
+    # leaves its facets: the check turns each guess down, and the LP facet
+    # tests decide every chamber, with the same cells
+    real = cell_oracle._Fan.pivot
+
+    def inside(fan, *args):
+        guess = real(fan, *args)
+        if guess is None:
+            return None
+        facets, rays = guess
+        centre = fan.ray(tuple(map(sum, zip(*(v.vector for v in rays)))))
+        return facets, [centre] + rays[1:]
+
+    monkeypatch.setattr(cell_oracle._Fan, "pivot", inside)
+    patched = enumerate_cells(3)
+    monkeypatch.undo()
+    assert patched.stats["witness_hits"] == 0 and patched.stats["nodes"] == 8
+    assert patched.cells == enumerate_cells(3).cells
 
 
 def test_long_sign_vectors_need_no_recursion():
