@@ -8,29 +8,39 @@ T of cuts is the cone C_T = {x in C : cut . x = 0 for every cut in T}.
 The affine hull of C_T (a linear span, since C_T is a cone) is cut out by
 T's rows and the ambient equalities together with the implicit equalities of
 C_T: the walls that vanish on all of C_T (Schrijver, Theory of Linear and
-Integer Programming, 8.2).  A closure takes one kernel B_1, ..., B_d of those
-rows and works in its coordinates, where C_T is the cone {wall . B_j >= 0} in
-Q^d.  A wall orthogonal to every B_j vanishes by the rows alone.  A wall
-positive at a point of C_T is no implicit equality; the points +-B_j that
-every wall keeps >= 0 are such points, checked with no LP.  The walls left
-are decided together, in rounds: one LP looks for a point of C_T where their
-sum is positive, which drops every wall positive there, and the round
-repeats on the walls left.  Once no such point exists, each wall left is
->= 0 on C_T and their sum is <= 0 there, so all of them vanish on C_T.  A
-closure thus makes at most one infeasible LP, one feasible LP per round
-(each drops at least one wall), and at most one more kernel, that of the
-implicit walls in Q^d, which gives both the dimension of the flat (the
-kernel's size) and its tight closure: a cut vanishes on the flat exactly
-when it is orthogonal to the whole kernel.
+Integer Programming, 8.2).  A closure starts from a basis of a flat's span
+that contains C_T, restricts T's rows to it and takes one kernel B_1, ...,
+B_d of them there, lifted back to Q^dim (`_span_within`).  In the
+coordinates of the B_j, C_T is the cone {wall . B_j >= 0} in Q^d.  A wall
+orthogonal to every B_j vanishes by the rows alone.  A wall positive at a
+point of C_T is no implicit equality; the points +-B_j that every wall keeps
+>= 0 are such points, checked with no LP.  The walls left are decided
+together, in rounds: one LP looks for a point of C_T where their sum is
+positive, which drops every wall positive there, and the round repeats on
+the walls left.  Once no such point exists, each wall left is >= 0 on C_T
+and their sum is <= 0 there, so all of them vanish on C_T.  A closure thus
+makes at most one infeasible LP, one feasible LP per round (each drops at
+least one wall), and at most one more kernel, that of the implicit walls in
+Q^d, which gives both the dimension of the flat (the kernel's size) and its
+tight closure: a cut vanishes on the flat exactly when it is orthogonal to
+the whole span.
 
 Two cut sets give the same flat exactly when they have the same tight
 closure (the full set of cuts vanishing on the intersection), so closures
 are the deduplication key.  The search starts from the closure of the empty
-set, the cone itself, whose tight set holds every cut that vanishes on the
-whole cone and whose dimension counts the walls' implicit equalities too.
-It grows closed sets one hyperplane at a time, which reaches every flat
-because closure is monotone.  `flat_span` is the span half of a closure;
-the cell search takes the span of the whole cone from it.
+set, the cone itself, taken in the span of {ambient_eqs = 0}; its tight set
+holds every cut that vanishes on the whole cone and its dimension counts the
+walls' implicit equalities too.  It grows closed sets one hyperplane at a
+time, which reaches every flat because closure is monotone.  The child of a
+closed set S by a cut u is closed inside the span of S's flat, with u as
+the one row: S's rows and implicit walls vanish there already, and only the
+cuts outside S + {u} are tested for tightness.  When that child has
+dimension d - 1, d the dimension of S's flat, every other cut u' of its
+tight set gives the same child, which is skipped: C_{S+{u'}} contains the
+child and has dimension at most d - 1, since u' does not vanish on S's flat,
+so the two have the same span and the same tight set.  `flat_span` is the
+span half of a closure from the span of {ambient_eqs = 0}; the cell search
+takes the span of the whole cone from it.
 """
 
 from __future__ import annotations
@@ -40,10 +50,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .arrangement import Arrangement, check_rank, gl_arrangement, weight_indices
-from .linalg import dot, kernel_basis, lift, restrict
+from .linalg import dot, integer_row, kernel_basis, lift, restrict
 from .simplex import cone_positive
 
-FLAT_CAP = 7  # default largest rank of enumerate_flats_geometric
+FLAT_CAP = 8  # default largest rank of enumerate_flats_geometric
 
 
 @dataclass(frozen=True)
@@ -61,23 +71,25 @@ class FlatEnumeration:
     stats: Counter = field(default_factory=Counter)
 
 
-def flat_span(arr: Arrangement, T, stats):
-    """Int vectors of Q^arr.dim, a basis of the span of the flat cut by T."""
-    rows = [arr.cuts[c] for c in sorted(T)] + list(arr.ambient_eqs)
-    free = kernel_basis(rows, arr.dim)
+def _span_within(arr: Arrangement, basis, rows, stats):
+    """Int vectors of Q^arr.dim, a basis of the span of the flat C cap
+    span(basis) cap {rows = 0}, where basis spans a flat's span or that of
+    {ambient_eqs = 0}."""
+    free = [lift(k, basis) for k in kernel_basis(restrict(rows, basis), len(basis))]
     d = len(free)
-    # C_T in the coordinates of the kernel; walls that vanish there are implied
+    # the flat in the coordinates of free; walls that vanish there are implied
     walls = [w for w in restrict(arr.walls, free) if any(w)]
     implicit = walls
     for j in range(d):
         for sign in (1, -1):
-            if all(sign * w[j] >= 0 for w in walls):  # sign * B_j lies in C_T
+            if all(sign * w[j] >= 0 for w in walls):  # sign * free[j] lies in the flat
                 implicit = [w for w in implicit if sign * w[j] <= 0]
     while implicit:
         total = [sum(col) for col in zip(*implicit)]
         point = cone_positive([], total, walls, d, stats=stats)
         if point is None:
-            break  # each wall left is >= 0 on C_T and their sum is <= 0 there
+            break  # each wall left is >= 0 on the flat and their sum is <= 0 there
+        point = integer_row(point)  # a positive multiple, for int products
         implicit = [w for w in implicit if dot(w, point) <= 0]
     if not implicit:
         return free
@@ -85,15 +97,25 @@ def flat_span(arr: Arrangement, T, stats):
     return [lift(h, free) for h in kernel_basis(implicit, d)]
 
 
+def _tight(arr: Arrangement, span, known):
+    """The cuts that vanish on span: known ones and those found by test."""
+    return known | frozenset(
+        c
+        for c, cut in enumerate(arr.cuts)
+        if c not in known and all(dot(cut, k) == 0 for k in span)
+    )
+
+
+def flat_span(arr: Arrangement, T, stats):
+    """Int vectors of Q^arr.dim, a basis of the span of the flat cut by T."""
+    ambient = kernel_basis(arr.ambient_eqs, arr.dim)
+    return _span_within(arr, ambient, [arr.cuts[c] for c in sorted(T)], stats)
+
+
 def _closure(arr: Arrangement, T, stats):
     """Tight closure (cut positions) and dimension of the flat cut by T."""
     span = flat_span(arr, T, stats)
-    tight = frozenset(
-        c
-        for c, cut in enumerate(arr.cuts)
-        if all(dot(cut, k) == 0 for k in span)
-    )
-    return tight, len(span)
+    return _tight(arr, span, frozenset(T)), len(span)
 
 
 def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None):
@@ -105,22 +127,35 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None
     if stats is None:
         stats = Counter()
     root = frozenset()
-    cache = {root: _closure(arr, root, stats)}
-    dims = dict(cache.values())  # closed tight set -> dimension
-    queue = deque(dims)
+    span = flat_span(arr, root, stats)
+    closed = _tight(arr, span, root)
+    spans = {closed: span}  # closed tight set -> a basis of its flat's span
+    cache = {root: (closed, len(span))}  # cut set -> its closure and dimension
+    queue = deque(spans)
     while queue:
         current = queue.popleft()
+        parent = spans[current]
+        covered = set(current)
         for u in range(len(arr.cuts)):
-            if u in current:
+            if u in covered:
                 continue
             T = current | {u}
             if T not in cache:
-                cache[T] = _closure(arr, T, stats)
+                span = _span_within(arr, parent, [arr.cuts[u]], stats)
+                closed = _tight(arr, span, T)
+                cache[T] = closed, len(span)
+                if closed not in spans:
+                    spans[closed] = span
+                    queue.append(closed)
             closed, dim = cache[T]
-            if closed not in dims:
-                dims[closed] = dim
-                queue.append(closed)
-    flats = sorted(dims.items(), key=lambda kv: (kv[1], len(kv[0]), sorted(kv[0])))
+            if dim == len(parent) - 1:
+                # every cut of the child vanishes on a flat of dimension at
+                # most dim that contains the child: the same flat
+                covered |= closed
+    flats = sorted(
+        ((tight, len(span)) for tight, span in spans.items()),
+        key=lambda kv: (kv[1], len(kv[0]), sorted(kv[0])),
+    )
     stats["flats"] = len(flats)
     stats["closures"] = len(cache)
     return flats, arr.count_row(dim for _, dim in flats)

@@ -23,7 +23,10 @@ from operator import mul
 
 
 def integer_row(row) -> list[int]:
-    """The row of ints and Fractions scaled by the lcm of its denominators."""
+    """The row of ints and Fractions scaled by the lcm of its denominators,
+    a new list; a row of ints is copied as it is."""
+    if all(type(v) is int for v in row):
+        return list(row)
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row]
 

@@ -84,10 +84,10 @@ def test_count_method_all(capsys):
     assert code == 0 and out == "1 5 6 1\n"
     assert "cross-checked" in err
     # beyond the flat-oracle cap the oracle leg is skipped, not attempted
-    for n in (8, 169):
+    for n in (9, 169):
         code, out, err = run(capsys, "count", "--flats", "-n", str(n), "--method", "all")
         assert code == 0 and out.split() == [str(ct.h_recurrence(n, k)) for k in range(n + 1)]
-        assert "skipped: oracle (cap 7)" in err
+        assert "skipped: oracle (cap 8)" in err
     # the oracle needs rank >= 1, so at n = 0 its leg is skipped too
     for table in ("--faces", "--flats"):
         code, out, err = run(capsys, "count", table, "-n", "0", "--method", "all")
@@ -99,7 +99,7 @@ def test_count_method_all(capsys):
     assert [line for line in err.splitlines() if line.startswith("skipped:")] == [
         "skipped: closed-form (no closed form is implemented for the flat table)",
         "skipped: enumerate (object enumeration is limited to n <= 10)",
-        "skipped: oracle (cap 7)",
+        "skipped: oracle (cap 8)",
     ]
     assert err.splitlines()[-1] == "cross-checked: recurrence, series"
     code, out, err = run(capsys, "count", "--faces", "-n", "11", "--method", "all")
@@ -130,7 +130,7 @@ def test_count_refusals(capsys):
          "faces; the configured cap is 8"),
         (("--flats", "--method", "oracle", "-n", "169"),
          "flat enumeration at rank 169 ranges over 2^(n(n+1)/2) = "
-         "2^14365 generator subsets; the configured cap is 7"),
+         "2^14365 generator subsets; the configured cap is 8"),
     ):
         assert_refused(capsys, ("count", *argv), line)
 

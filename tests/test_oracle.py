@@ -38,7 +38,7 @@ from weylfan.oracle import arrangement, simplex
 from weylfan.oracle import cells as cell_oracle
 from weylfan.oracle import flats as flat_oracle
 from weylfan.oracle.cells import enumerate_generic_cells
-from weylfan.oracle.linalg import dot, kernel_basis, rank_of
+from weylfan.oracle.linalg import dot, integer_row, kernel_basis, rank_of
 from weylfan.oracle.simplex import (
     CertificateError,
     cone_positive,
@@ -99,6 +99,17 @@ def test_rational_matrix_nullspace():
     # RREF vectors (-3/2, 1, 0) and (0, 0, 1), each scaled to primitive ints
     assert kernel_basis([[2, 3, 0]], 3) == ((-3, 2, 0), (0, 0, 1))
     assert kernel_basis([[Fraction(1, 2), Fraction(1, 3)]], 2) == ((-2, 3),)
+
+
+def test_integer_row_copies_int_rows_and_clears_denominators():
+    row = (3, -1, 0)
+    ints = integer_row(row)
+    assert ints == [3, -1, 0] and type(ints) is list
+    listed = [3, -1, 0]
+    assert integer_row(listed) == listed and integer_row(listed) is not listed
+    # a Fraction anywhere takes the lcm of the denominators
+    assert integer_row([1, Fraction(1, 2), Fraction(-2, 3)]) == [6, 3, -4]
+    assert integer_row([Fraction(4), 2]) == [4, 2]
 
 
 def test_rank_matches_rref_on_random_matrices():
@@ -529,11 +540,11 @@ PINNED_CELLS = {
 }
 PINNED_FLATS = {
     4: (
-        {"lp_calls": 102, "pivots": 99, "flats": 34, "closures": 188},
+        {"lp_calls": 100, "pivots": 95, "flats": 34, "closures": 125},
         "8ac8037f6a8ecfa2575265236d1797a92d2d61dc7ca90628473731e8023b11d1",
     ),
     5: (
-        {"lp_calls": 643, "pivots": 707, "flats": 89, "closures": 835},
+        {"lp_calls": 611, "pivots": 641, "flats": 89, "closures": 593},
         "03577b47b50a2506374ae45dca672fb80392b717493372df0ab5457fb116a5a2",
     ),
 }
@@ -564,9 +575,9 @@ def test_cap_refusals():
     assert "walks 2^n = 2^9 chambers" in str(err.value)
     assert err.value.cap == 8
     with pytest.raises(CapExceeded) as err:
-        enumerate_flats_geometric(8)
-    assert "2^(n(n+1)/2)" in str(err.value) and "2^36" in str(err.value)
-    assert err.value.cap == 7
+        enumerate_flats_geometric(9)
+    assert "2^(n(n+1)/2)" in str(err.value) and "2^45" in str(err.value)
+    assert err.value.cap == 8
     with pytest.raises(CapExceeded) as err:
         enumerate_cells(2, cap=1)
     assert err.value.cap == 1
@@ -805,6 +816,24 @@ def small_arrangements(draw):
 @given(small_arrangements())
 def test_closure_matches_the_per_wall_rule(case):
     _check_closure(*case)
+
+
+# x + y = 0 cuts the quadrant to its apex, two dimensions down, so the ray
+# x = 0 is not covered by that child and needs its own closure
+@example((Arrangement(2, [[1, 1], [1, 0]], [[1, 0], [0, 1]]), frozenset()))
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(small_arrangements())
+def test_flat_search_matches_every_closure(case):
+    # the search closes each child inside its parent and skips the cuts a
+    # codimension-1 child covers; the per-wall rule on every cut set shares
+    # neither
+    arr = case[0]
+    flats, _ = enumerate_generic_flats(arr)
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(len(arr.cuts)), size) for size in range(len(arr.cuts) + 1)
+    )
+    assert set(flats) == {_reference_closure(arr, frozenset(T)) for T in subsets}
+    assert len(flats) == len(set(flats))
 
 
 @pytest.mark.parametrize("tag, n", _ARRANGEMENTS, ids=_ARRANGEMENT_IDS)
