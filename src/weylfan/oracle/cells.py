@@ -51,7 +51,7 @@ from typing import NamedTuple, Optional
 
 from .arrangement import Arrangement, SignCondition, check_rank, gl_arrangement
 from .flats import enumerate_generic_flats, flat_span
-from .linalg import canonical_hyperplane, dot, integer_row, kernel_basis, lift, restrict
+from .linalg import canonical_hyperplane, dot, kernel_basis, lift, restrict
 from .simplex import CertificateError, strict_feasible
 
 CELL_CAP = 8  # default largest rank of enumerate_cells
@@ -87,7 +87,8 @@ def _split_rows(rows, signs):
 
 
 def cell_feasible(n: int, condition: SignCondition, *, stats=None):
-    """Decide one sign condition; returns (feasible, witness-or-None)."""
+    """Decide one sign condition; returns (feasible, witness-or-None), the
+    witness an int point of the cell."""
     if condition.n != n:
         raise ValueError(f"a rank-{condition.n} sign condition at rank {n}")
     arr = gl_arrangement(n)
@@ -332,7 +333,7 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[Counter] = None
             point = strict_feasible(*_split_rows(facet_rows, signs), [], d, stats=stats)
             if point is None:
                 raise CertificateError(f"face {sorted(tight)} of a chamber has no point")
-            v = fan.ray(integer_row(point))
+            v = fan.ray(point)
             if (v.zero, v.positive) not in found:
                 add_cell((v.zero, v.positive), v.vector, dim)
 
@@ -366,18 +367,18 @@ def enumerate_cells(n: int, *, cap: int = CELL_CAP) -> CellEnumeration:
 def rays_geometric(cells: CellEnumeration):
     """The 1-dimensional cells as exactly normalized direction vectors.
 
-    Every witness, scaled by its largest absolute coordinate, must land on a
-    vector with coordinates in {-1, 0, 1}; anything else is an error.
+    Every coordinate of a witness must have absolute value 0 or the largest
+    one, so that dividing by that lands on a vector with coordinates in
+    {-1, 0, 1}; anything else is an error.
     """
     rays = []
     for cell in cells.cells:
         if cell.dim != 1:
             continue
         scale = max(abs(v) for v in cell.witness)
-        vec = tuple(Fraction(v) / scale for v in cell.witness)
-        if any(v not in (-1, 0, 1) for v in vec):
+        if any(abs(v) not in (0, scale) for v in cell.witness):
             raise CertificateError(f"1-cell witness {cell.witness} is not a lattice ray")
-        rays.append(vec)
+        rays.append(tuple(v // scale for v in cell.witness))
     return sorted(rays, reverse=True)
 
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .arrangement import Arrangement, check_rank, gl_arrangement, weight_indices
-from .linalg import dot, integer_row, kernel_basis, lift, restrict
+from .linalg import dot, kernel_basis, lift, restrict
 from .simplex import cone_positive
 
 FLAT_CAP = 8  # default largest rank of enumerate_flats_geometric
@@ -89,7 +89,6 @@ def _span_within(arr: Arrangement, basis, rows, stats):
         point = cone_positive([], total, walls, d, stats=stats)
         if point is None:
             break  # each wall left is >= 0 on the flat and their sum is <= 0 there
-        point = integer_row(point)  # a positive multiple, for int products
         implicit = [w for w in implicit if dot(w, point) <= 0]
     if not implicit:
         return free

@@ -12,8 +12,9 @@ loop: it brings rows to reduced row echelon form up to one factor per row.
 a rank does not need), and `kernel_basis` reads one kernel vector per free
 column, a primitive int vector, so products against it stay int.
 `restrict` takes rows into the coordinates of such a basis, and `lift`
-takes a point of those coordinates back.  `canonical_hyperplane` is the one
-rule for when two rows give the same hyperplane.
+takes a point of those coordinates back.  `check_lengths` refuses a row of
+the wrong length, which `zip` would cut short.  `canonical_hyperplane` is
+the one rule for when two rows give the same hyperplane.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ def integer_row(row) -> list[int]:
         return list(row)
     scale = lcm(*(v.denominator for v in row))
     return [v.numerator * (scale // v.denominator) for v in row]
+
+
+def check_lengths(rows, dim: int) -> None:
+    """Raise ValueError unless every row has dim entries."""
+    for row in rows:
+        if len(row) != dim:
+            raise ValueError(f"a row of length {len(row)} in Q^{dim}")
 
 
 def canonical_hyperplane(row) -> tuple[int, ...]:
@@ -95,6 +103,7 @@ def kernel_basis(rows, dim: int) -> tuple[tuple[int, ...], ...]:
     lcm s > 0 of its denominators.  Its entry at the free column is s, and
     that is its last nonzero entry, so v / v[last nonzero] is the RREF vector.
     """
+    check_lengths(rows, dim)
     m, pivots = _reduce(rows, dim)
     basis = []
     for fc in range(dim):

@@ -6,9 +6,8 @@ Strict inequalities are handled the standard way: maximize a single margin
 variable t subject to every strict constraint shifted by it and to the cap
 t <= 1; the open set is non-empty iff the optimum is positive.  With exactly
 one strict row there is no margin column: the row is itself the objective,
-capped at row . x <= 1.  Pivoting is greedy while it makes progress and
-switches to Bland's rule through degenerate stretches, which guarantees
-termination.
+capped at row . x <= 1.  Pivoting follows Bland's rule (Bland 1977, Math.
+Oper. Res. 2(2)), so no basis repeats and the simplex terminates.
 
 Both questions share one textbook tableau over the kernel of the
 equalities.  Its variables are y = p - q with x = sum_j y_j B_j, the B_j the
@@ -22,18 +21,20 @@ strict and weak rows, one on the cap.
 
 The tableau is exact and fraction-free: its rows are integer rows that stand
 for their positive multiples, and a pivot is one `linalg.eliminate` step per
-row, the same step that computes ranks and kernels.  Values, solutions and
-witnesses are read back as Fractions.  A `stats` Counter passed to either
-question counts its LP calls and pivots.
+row, the same step that computes ranks and kernels.  `simplex_max` reads its
+value and solution back as Fractions; both questions answer with the int
+point that their certificate check evaluates, a positive multiple of the
+optimum, so no Fraction leaves them.  Rows of a length other than the
+dimension are refused.  A `stats` Counter passed to either question counts
+its LP calls and pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
-from .linalg import dot, eliminate, integer_row, kernel_basis, lift, restrict
+from .linalg import check_lengths, dot, eliminate, integer_row, kernel_basis, lift, restrict
 
 _ZERO = Fraction(0)
 
@@ -54,6 +55,11 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
     every other row (not necessarily 1), and rhs >= 0: an all-slack start in
     every use below.  Returns the optimal value and the primal solution.
 
+    The entering column is the lowest-index one with a negative reduced
+    cost, and the leaving row the one with the least ratio, ties going to
+    the lowest basic index: Bland's rule, under which no basis repeats, so
+    the loop ends also on a degenerate program.
+
     The objective row carries its own positive scale in column ncols, which
     never enters the basis; the right-hand side is the last column.  Every
     entering pivot is positive, so every row keeps a positive scale and the
@@ -67,18 +73,8 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
     for r, col in enumerate(basis):
         if z[col]:
             z = eliminate(z, tab[r], col)
-    stall = 0
-    bland = False
     while True:
-        if bland:
-            entering = next((j for j in range(ncols) if z[j] < 0), None)
-        else:
-            entering = None
-            best = 0
-            for j in range(ncols):
-                if z[j] < best:
-                    best = z[j]
-                    entering = j
+        entering = next((j for j in range(ncols) if z[j] < 0), None)
         if entering is None:
             solution = [_ZERO] * ncols
             for row, col in zip(tab, basis):
@@ -101,12 +97,6 @@ def simplex_max(rows, rhs, objective, basis, *, stats=None):
         if stats is not None:
             stats["pivots"] += 1
         lead = tab[leaving]
-        if lead[-1] == 0:
-            stall += 1
-            if stall > 2 * len(tab) + 10:
-                bland = True
-        else:
-            stall = 0
         for r, row in enumerate(tab):
             if r != leaving and row[entering]:
                 tab[r] = eliminate(row, lead, entering)
@@ -120,6 +110,7 @@ def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
     described in the module docstring, over the kernel of the equalities.
     With no equalities the kernel is the identity, and the rows enter as
     they are."""
+    check_lengths([*eq_rows, *strict_rows, *weak_rows], dim)
     if stats is not None:
         stats["lp_calls"] += 1
     if eq_rows:
@@ -131,7 +122,7 @@ def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
         basis_vecs, d = None, dim
         strict_proj = [integer_row(row) for row in strict_rows]
         weak_proj = [integer_row(row) for row in weak_rows]
-    zero = tuple([_ZERO] * dim)
+    zero = (0,) * dim
     if d == 0:
         # the origin is the only point, and no strict row is positive there
         return None if strict_rows else zero
@@ -158,20 +149,17 @@ def _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats):
     value, solution = simplex_max(rows, [0] * (m - 1) + [1], objective, basis, stats=stats)
     if value <= 0:
         return None
-    # the point x = sum_j (p_j - q_j) B_j, and a positive int multiple of it
-    coeffs = [solution[j] - solution[d + j] for j in range(d)]
-    den = lcm(*(c.denominator for c in coeffs))
-    scaled = integer_row(coeffs)
+    # a positive int multiple of the point x = sum_j (p_j - q_j) B_j
+    scaled = integer_row([solution[j] - solution[d + j] for j in range(d)])
     if basis_vecs is not None:
         scaled = lift(scaled, basis_vecs)
-    witness = tuple(Fraction(v, den) for v in scaled)
     if (
         any(dot(row, scaled) != 0 for row in eq_rows)
         or any(dot(row, scaled) <= 0 for row in strict_rows)
         or any(dot(row, scaled) < 0 for row in weak_rows)
     ):
-        raise CertificateError(f"witness {witness} violates the sign system")
-    return witness
+        raise CertificateError(f"witness {scaled} violates the sign system")
+    return tuple(scaled)
 
 
 def strict_feasible(
@@ -181,8 +169,8 @@ def strict_feasible(
     dim: int,
     *,
     stats=None,
-) -> Optional[tuple[Fraction, ...]]:
-    """Interior witness of {eq = 0, strict > 0, weak >= 0}, or None."""
+) -> Optional[tuple[int, ...]]:
+    """An int point of {eq = 0, strict > 0, weak >= 0}, or None."""
     return _margin_lp(eq_rows, strict_rows, weak_rows, dim, stats)
 
 
@@ -193,6 +181,6 @@ def cone_positive(
     dim: int,
     *,
     stats=None,
-) -> Optional[tuple[Fraction, ...]]:
-    """A point of {eq = 0, weak >= 0} with functional > 0, or None."""
+) -> Optional[tuple[int, ...]]:
+    """An int point of {eq = 0, weak >= 0} with functional > 0, or None."""
     return _margin_lp(eq_rows, [functional], weak_rows, dim, stats)

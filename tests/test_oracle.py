@@ -185,6 +185,18 @@ def test_simplex_basics():
     assert value == 3
 
 
+def test_simplex_does_not_cycle_on_chvatals_program():
+    # Chvatal, Linear Programming (1983), ch. 3: the most-negative-cost rule
+    # cycles through six degenerate bases here; Bland's rule does not
+    rows = [[1, -11, -5, 18, 2, 0, 0], [1, -3, -1, 2, 0, 2, 0], [1, 0, 0, 0, 0, 0, 1]]
+    objective = [10, -57, -9, -24, 0, 0, 0]
+    for solve in (simplex_max, reference_simplex_max):
+        stats = Counter()
+        value, sol = solve(rows, [0, 0, 1], objective, [4, 5, 6], stats=stats)
+        assert value == 1 and sol[:4] == [1, 0, 1, 0]
+        assert stats["pivots"] == 7
+
+
 def test_strict_feasible_basics():
     assert strict_feasible([], [(1,)], [], 1) is not None
     assert strict_feasible([], [(1,), (-1,)], [], 1) is None
@@ -196,10 +208,30 @@ def test_strict_feasible_basics():
     assert w is not None and w[0] > w[1] and w[1] >= 0
 
 
+def test_strict_feasible_refuses_rows_of_another_length():
+    # refused before an LP is counted, not answered for a truncated row
+    stats = Counter()
+    with pytest.raises(ValueError):
+        strict_feasible([(1, 0, 0)], [(0, 1)], [], 2, stats=stats)
+    assert stats == Counter()
+
+
+def test_strict_feasible_refuses_a_short_strict_row():
+    stats = Counter()
+    with pytest.raises(ValueError):
+        strict_feasible([], [(1,)], [], 2, stats=stats)
+    assert stats == Counter()
+
+
+def test_kernel_basis_refuses_rows_of_another_length():
+    with pytest.raises(ValueError):
+        kernel_basis([(1, 0, 0)], 2)
+
+
 def reference_simplex_max(rows, rhs, objective, basis, *, stats=None):
-    """The Fraction tableau simplex that the integer tableau replaced: same
-    entering and leaving rules, every row normalized at its pivot (and at the
-    start, where a basic column may carry any positive entry)."""
+    """The Fraction tableau simplex that the integer tableau replaced: the
+    same Bland's rule, every row normalized at its pivot (and at the start,
+    where a basic column may carry any positive entry)."""
     m = len(rows)
     ncols = len(objective)
     tab = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
@@ -210,18 +242,8 @@ def reference_simplex_max(rows, rhs, objective, basis, *, stats=None):
         if z[col] != 0:
             f = z[col]
             z = [a - f * b for a, b in zip(z, tab[r])]
-    stall = 0
-    bland = False
     while True:
-        if bland:
-            entering = next((j for j in range(ncols) if z[j] < 0), None)
-        else:
-            entering = None
-            best = Fraction(0)
-            for j in range(ncols):
-                if z[j] < best:
-                    best = z[j]
-                    entering = j
+        entering = next((j for j in range(ncols) if z[j] < 0), None)
         if entering is None:
             solution = [Fraction(0)] * ncols
             for r, col in enumerate(basis):
@@ -240,12 +262,6 @@ def reference_simplex_max(rows, rhs, objective, basis, *, stats=None):
             raise simplex.UnboundedProgram("objective is unbounded on the feasible cone")
         if stats is not None:
             stats["pivots"] = stats.get("pivots", 0) + 1
-        if ratio == 0:
-            stall += 1
-            if stall > 2 * m + 10:
-                bland = True
-        else:
-            stall = 0
         pv = tab[leaving][entering]
         tab[leaving] = [v / pv for v in tab[leaving]]
         for r in range(m):
@@ -309,7 +325,8 @@ def sign_systems(draw):
 
 def _reference_lp(basis, bodies, objective, stats):
     """Solve max objective over bodies (row, rhs) with one unit slack each,
-    by the Fraction simplex; returns the point sum_j (p_j - q_j) b_j."""
+    by the Fraction simplex; returns the point sum_j c_j b_j, where c is
+    (p_j - q_j) cleared of its denominators: an int multiple of the optimum."""
     d, m = len(basis), len(bodies)
     rows = [body + [1 if j == r else 0 for j in range(m)] for r, (body, _) in enumerate(bodies)]
     slacks = list(range(len(objective), len(objective) + m))
@@ -318,8 +335,8 @@ def _reference_lp(basis, bodies, objective, stats):
     )
     if value <= 0:
         return None
-    dim = len(basis[0])
-    return tuple(sum((sol[j] - sol[d + j]) * b[i] for j, b in enumerate(basis)) for i in range(dim))
+    coeffs = cleared([sol[j] - sol[d + j] for j in range(d)])
+    return tuple(dot(coeffs, col) for col in zip(*basis))
 
 
 def cleared(row):
@@ -368,6 +385,11 @@ def test_lp_witnesses_hold_and_match_the_reference(system):
     ours, ref = Counter(), {}
     witness = strict_feasible(eq, strict, weak, dim, stats=ours)
     point = cone_positive(eq, functional, weak, dim, stats=ours)
+    # both answer with an int point
+    for answer in (witness, point):
+        assert answer is None or (
+            type(answer) is tuple and all(type(v) is int for v in answer)
+        )
     # the int tableau is the reference's Fraction tableau up to positive
     # row scaling: same witnesses, same pivots
     assert witness == reference_strict_feasible(eq, strict, weak, dim, stats=ref)
@@ -457,7 +479,7 @@ def test_witness_checks_reject_a_bogus_optimum(monkeypatch):
 
 def test_cell_feasible_examples():
     feasible, witness = cell_feasible(2, SignCondition(2, (1, 1, 1), (1,)))
-    assert feasible
+    assert feasible and all(type(v) is int for v in witness)
     x1, x2 = witness
     assert x1 > x2 and x2 + x1 > 0 and x2 > -x1  # interior of the top chamber
     for s22 in (-1, 0, 1):
@@ -465,7 +487,7 @@ def test_cell_feasible_examples():
             feasible, _ = cell_feasible(2, SignCondition(2, (-1, 1, s22), (tau,)))
             assert not feasible
     feasible, witness = cell_feasible(2, SignCondition(2, (0, 0, 0), (0,)))
-    assert feasible and witness == (0, 0)
+    assert feasible and witness == (0, 0) and all(type(v) is int for v in witness)
     # a condition of another rank is refused, not answered for a truncated system
     with pytest.raises(ValueError):
         cell_feasible(3, SignCondition(2, (1, 1, 1), (1,)))
