@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .oracle.arrangement import SignCondition, gl_arrangement
@@ -97,11 +98,10 @@ def chamber_from_subset(n: int, S: Iterable[int]) -> Chamber:
 def all_chambers(n: int) -> list[Chamber]:
     """All 2^n chambers, ordered by characteristic vector read as a binary
     number with s_1 the most significant bit (the empty set comes first)."""
-    out = []
-    for mask in range(1 << n):
-        subset = [i for i in range(1, n + 1) if mask >> (n - i) & 1]
-        out.append(chamber_from_subset(n, subset))
-    return out
+    return [
+        Chamber(n, tuple(i for i in range(n, 0, -1) if mask >> (n - i) & 1))
+        for mask in range(1 << n)
+    ]
 
 
 def _parse_tableau(T: Union[str, Sequence[Sequence[int]]]) -> list[list[int]]:
@@ -146,31 +146,41 @@ def tableau_validate(T: Union[str, Sequence[Sequence[int]]]) -> Chamber:
     return chamber_from_subset(n, subset)
 
 
-def chamber_chain(chamber: Chamber) -> Chain:
-    """The maximal chain indexing a chamber's extreme rays, one per level.
-
-    Level l holds (pi_l, l - pi_l), where pi_l counts the subset members
-    above n - l: the index of extreme ray e_l, read off the subset.
-    """
+def chamber_pi(chamber: Chamber) -> tuple[int, ...]:
+    """The counts pi_1, ..., pi_n of a chamber: pi_l counts the subset
+    members above n - l.  Its chain holds (pi_l, l - pi_l) at level l."""
     n, members = chamber.n, set(chamber.subset)
-    chain, pi = [], 0
+    pi, out = 0, []
     for l in range(1, n + 1):
         if n - l + 1 in members:
             pi += 1
-        chain.append(PosetPoint(pi, l - pi))
-    return tuple(chain)
+        out.append(pi)
+    return tuple(out)
+
+
+def chamber_chain(chamber: Chamber) -> Chain:
+    """The maximal chain indexing a chamber's extreme rays, one per level:
+    the point (pi_l, l - pi_l) of level l is the index of extreme ray e_l."""
+    return tuple(PosetPoint(pi, l - pi) for l, pi in enumerate(chamber_pi(chamber), 1))
 
 
 def extreme_rays(chamber: Chamber) -> tuple[tuple[int, ...], ...]:
     """The n extreme rays e_1, ..., e_n, the ray vectors of the chamber's chain."""
-    return tuple(ray_from_index(chamber.n, p) for p in chamber_chain(chamber))
+    n = chamber.n
+    return tuple(_ray(n, pi, l - pi) for l, pi in enumerate(chamber_pi(chamber), 1))
 
 
 def ray_from_index(n: int, point: PosetPoint) -> tuple[int, ...]:
     """The ray vector (1^a, 0^(n-a-b), (-1)^b) for a point of E*_n."""
     if point.level < 1 or point.level > n:
         raise ValueError(f"{point} is not in E*_{n}")
-    return tuple([1] * point.a + [0] * (n - point.level) + [-1] * point.b)
+    return _ray(n, point.a, point.b)
+
+
+@lru_cache(maxsize=1024)
+def _ray(n: int, a: int, b: int) -> tuple[int, ...]:
+    # bounded: at large n each vector is long and few are asked for again
+    return (1,) * a + (0,) * (n - a - b) + (-1,) * b
 
 
 def classify_point(n: int, x: Sequence) -> Union[Chamber, SignCondition]:

@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import counting as ct
 from . import incidence as inc
-from .chambers import all_chambers, extreme_rays
+from .chambers import all_chambers, extreme_rays, ray_from_index
 from .oracle import (
     CapExceeded,
     check_weights_proportional_to_roots,
@@ -40,7 +40,7 @@ from .oracle import (
     weight_system,
 )
 from .oracle import weightsystems as wsys
-from .poset import INF, enumerate_chains, enumerate_ensembles
+from .poset import INF, all_points, enumerate_chains, enumerate_ensembles
 
 ENUMERATION_BOUND = 10  # largest rank where count --method enumerate walks objects
 GRAPH_BOUND = 12
@@ -197,15 +197,26 @@ def _chamber_records(n):
         }
 
 
-def _face_records(n, dims):
+def _face_lines(n, dims, fmt):
+    """The lines of enumerate faces, one per chain.  Each point's fragments
+    are rendered once: in json its [a,b] and its ray, each through
+    _jsonline, so a line equals _jsonline({"dim", "chain", "rays"}) of the
+    face; in text its "(a,b)"."""
+    frags = [[None] * (n + 1 - a) for a in range(n + 1)]  # frags[a][b]
+    for p in all_points(n):
+        if fmt == "json":
+            frags[p.a][p.b] = (_jsonline(_point_pair(p)), _jsonline(list(ray_from_index(n, p))))
+        else:
+            frags[p.a][p.b] = f"({p.a},{p.b})"
     for k in dims:
         for chain in enumerate_chains(n, k):
-            face = inc.face_from_chain(n, chain)
-            yield {
-                "dim": k,
-                "chain": [_point_pair(p) for p in chain],
-                "rays": [list(r) for r in face.rays()],
-            }
+            parts = [frags[p.a][p.b] for p in inc.face_from_chain(n, chain).chain]
+            if fmt == "json":
+                pairs = ",".join([pair for pair, _ in parts])
+                rays = ",".join([ray for _, ray in parts])
+                yield f'{{"chain":[{pairs}],"dim":{k},"rays":[{rays}]}}'
+            else:
+                yield f"{k}\t{' '.join(parts) or '-'}"
 
 
 def _flat_records(n, dims):
@@ -223,14 +234,17 @@ def _record_text(kind: str, rec: dict) -> str:
     if kind == "chambers":
         subset = ",".join(str(i) for i in rec["subset"]) or "-"
         return f"{rec['index']}\t{rec['signs']}\t{subset}"
-    if kind == "faces":
-        chain = " ".join(f"({a},{b})" for a, b in rec["chain"]) or "-"
-        return f"{rec['dim']}\t{chain}"
     parts = []
     for lo, hi in rec["intervals"]:
         hi_text = "inf" if hi is None else f"({hi[0]},{hi[1]})"
         parts.append(f"({lo[0]},{lo[1]})..{hi_text}")
     return f"{rec['dim']}\t" + (" ".join(parts) or "-")
+
+
+def _record_lines(kind: str, records, fmt: str):
+    if fmt == "json":
+        return (_jsonline(rec) for rec in records)
+    return (_record_text(kind, rec) for rec in records)
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -241,13 +255,16 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.k is not None:
             raise UsageError("chambers have no dimension filter; drop -k")
         estimate = 2**n
-        records = _chamber_records(n)
+        lines = _record_lines(kind, _chamber_records(n), args.format)
     else:
         _check_k(args.k, n)
         dims = range(n + 1) if args.k is None else [args.k]
         recurrence = _paths(kind)[0]
         estimate = sum(recurrence(n, k) for k in dims)
-        records = _face_records(n, dims) if kind == "faces" else _flat_records(n, dims)
+        if kind == "faces":
+            lines = _face_lines(n, dims, args.format)
+        else:
+            lines = _record_lines(kind, _flat_records(n, dims), args.format)
 
     if estimate > args.limit:
         raise UsageError(
@@ -255,10 +272,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"raise --limit to proceed"
         )
 
-    if args.format == "json":
-        lines = (_jsonline(rec) for rec in records)
-    else:
-        lines = (_record_text(kind, rec) for rec in records)
     return _emit("".join(line + "\n" for line in lines), args.out)
 
 

@@ -7,11 +7,10 @@ counterparts live in the oracle subpackage and are only used to cross-check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .chambers import Chamber, all_chambers, chamber_chain, ray_from_index
+from .chambers import Chamber, all_chambers, chamber_pi, ray_from_index
 # the weight boxes and their functionals are defined once, with the oracle's
 # gl arrangement, and re-exported here under the same names
 from .oracle.arrangement import WeightIndex, weight_functional, weight_indices
@@ -67,12 +66,15 @@ class Face:
 
 
 def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
-    pts = sorted(set(points), key=sort_key)
+    # keyed by sort_key, which is injective, so a repeated point is kept once
+    # and no point is hashed or compared as a dataclass
+    pts = [p for _, p in sorted({sort_key(p): p for p in points}.items())]
     # sorted by level first, so the ends hold the lowest and highest levels
     if pts and (pts[0].level < 1 or pts[-1].level > n):
         stray = next(p for p in pts if not 1 <= p.level <= n)
         raise ValueError(f"{stray} is not in E*_{n}")
-    if not all(p < q for p, q in zip(pts, pts[1:])):
+    # the points are distinct and sorted, so a componentwise <= is a <
+    if not all(p.a <= q.a and p.b <= q.b for p, q in zip(pts, pts[1:])):
         raise ValueError(f"{pts} is not a chain")
     return Face(n, tuple(pts))
 
@@ -142,18 +144,21 @@ def chamber_adjacency_graph(n: int) -> tuple[list[Chamber], list[tuple[int, int]
     """Chambers in characteristic-vector order plus sorted edge index pairs.
 
     Two chambers are adjacent when their chains share all but one element,
-    i.e. they meet in a common wall.
+    i.e. they meet in a common wall.  A chamber chain has one point per
+    level, so dropping its level-l point leaves the key (l, pi without
+    position l), pi as in chamber_pi.
     """
     chambers = all_chambers(n)
-    chains = [frozenset(chamber_chain(c)) for c in chambers]
-    walls: dict[frozenset, list[int]] = {}
-    for idx, chain in enumerate(chains):
-        for p in chain:
-            walls.setdefault(chain - {p}, []).append(idx)
-    edges = set()
-    for members in walls.values():
-        for a, b in itertools.combinations(sorted(members), 2):
-            edges.add((a, b))
+    # a wall holds at most two chambers: the other counts fix pi_(l-1), and
+    # pi_l is pi_(l-1) or one more
+    first: dict[tuple, int] = {}
+    edges = []
+    for idx, c in enumerate(chambers):
+        pi = chamber_pi(c)
+        for l in range(n):
+            other = first.setdefault((l, pi[:l] + pi[l + 1 :]), idx)
+            if other != idx:
+                edges.append((other, idx))
     return chambers, sorted(edges)
 
 

@@ -86,6 +86,8 @@ def _span_within(arr: Arrangement, basis, rows, stats):
                 implicit = [w for w in implicit if sign * w[j] <= 0]
     while implicit:
         total = [sum(col) for col in zip(*implicit)]
+        if not any(total):
+            break  # the sum is 0 on the flat, so each wall left (>= 0 there) is 0 too
         point = cone_positive([], total, walls, d, stats=stats)
         if point is None:
             break  # each wall left is >= 0 on the flat and their sum is <= 0 there

@@ -161,20 +161,21 @@ def enumerate_chains(n: int, k: int) -> Iterator[Chain]:
         return
     pts = all_points(n)
 
-    def children(node):
-        # node: a chain and the index of pts where its next point is sought
-        chain, start = node
+    def children(chain):
+        # the points above the chain's last point (the origin for the empty
+        # chain), listed from its coordinates level by level as
+        # _points_between lists them; level lev starts at index
+        # lev*(lev+1)//2 - 1 of pts
         if len(chain) == k:
             return
-        need = k - len(chain) - 1
-        for idx in range(start, len(pts)):
-            p = pts[idx]
-            if n - p.level < need:
-                break  # too few levels left above p to finish the chain
-            if not chain or chain[-1] < p:
-                yield chain + (p,), idx + 1
+        a, b = (chain[-1].a, chain[-1].b) if chain else (0, 0)
+        top = n - k + len(chain) + 1  # leaves one level per point still to add
+        for lev in range(a + b + 1, top + 1):
+            start = lev * (lev + 1) // 2 - 1
+            for p in pts[start + b : start + lev - a + 1]:
+                yield chain + (p,)
 
-    for chain, _ in depth_first(((), 0), children):
+    for chain in depth_first((), children):
         if len(chain) == k:
             yield chain
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -10,8 +11,9 @@ import pytest
 
 import weylfan
 from weylfan import counting as ct
-from weylfan.cli import main
-from weylfan.incidence import adjacency_dot
+from weylfan.cli import _jsonline, main
+from weylfan.incidence import adjacency_dot, face_from_chain
+from weylfan.poset import enumerate_chains
 
 
 def run(capsys, *argv):
@@ -226,6 +228,39 @@ def test_enumerate_faces_origin(capsys):
     code, out, _ = run(capsys, "enumerate", "faces", "-n", "3", "-k", "0")
     assert code == 0
     assert json.loads(out) == {"chain": [], "dim": 0, "rays": []}
+
+
+def test_enumerate_faces_lines_equal_the_records(capsys):
+    # each line is the canonical json of the face record, and the text
+    # lines render the same chains; both outputs are pinned byte for byte
+    n = 5
+    records = [
+        {
+            "dim": k,
+            "chain": [[p.a, p.b] for p in chain],
+            "rays": [list(r) for r in face_from_chain(n, chain).rays()],
+        }
+        for k in range(n + 1)
+        for chain in enumerate_chains(n, k)
+    ]
+    code, out, _ = run(capsys, "enumerate", "faces", "-n", str(n))
+    assert code == 0
+    assert out.splitlines() == [_jsonline(rec) for rec in records]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "955de2670139224ec368a2734f8305c4b4bf0a3eb4b5fa3d174633f7ea57461e"
+    )
+    code, out, _ = run(capsys, "enumerate", "faces", "-n", str(n), "--format", "text")
+    assert code == 0
+    assert out.splitlines() == [
+        f"{rec['dim']}\t" + (" ".join(f"({a},{b})" for a, b in rec["chain"]) or "-")
+        for rec in records
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "26ca94898c6a94fc8236454866dea6cbfd63e91773810f690f4ff2dd16b5558b"
+    )
+    code, out, _ = run(capsys, "enumerate", "faces", "-n", str(n), "-k", "2")
+    assert code == 0
+    assert out.splitlines() == [_jsonline(rec) for rec in records if rec["dim"] == 2]
 
 
 def test_enumerate_flats_matches_counts(capsys):

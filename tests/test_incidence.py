@@ -12,6 +12,7 @@ from weylfan.poset import (
     PosetPoint,
     all_points,
     enumerate_ensembles,
+    is_chain,
 )
 
 
@@ -124,6 +125,22 @@ def test_face_from_chain_errors():
     assert inc.face_from_chain(3, []).dim == 0
 
 
+def test_face_from_chain_accepts_exactly_the_chains():
+    # every subset of E*_n, listed backwards and with its first point
+    # repeated; at n = 3 it holds (0,2), (3,0), sorted in that order by
+    # level but not comparable
+    for n in range(1, 5):
+        pts = all_points(n)
+        for k in range(len(pts) + 1):
+            for subset in itertools.combinations(pts, k):
+                given = subset[::-1] + subset[:1]
+                if is_chain(subset):
+                    assert inc.face_from_chain(n, given).chain == subset
+                else:
+                    with pytest.raises(ValueError, match="is not a chain"):
+                        inc.face_from_chain(n, given)
+
+
 def test_chamber_chain_matches_extreme_rays():
     # the chain's rays span the chamber: their sum is an interior point of it
     for n in range(1, 11):
@@ -156,6 +173,27 @@ def test_adjacency_matches_pairwise_definition():
     for n in range(1, 7):
         _, edges = inc.chamber_adjacency_graph(n)
         assert edges == _brute_edges(n)
+
+
+def _wall_grouped_edges(n):
+    """Chambers grouped by their chain minus one point, as frozensets."""
+    walls = {}
+    for idx, c in enumerate(ch.all_chambers(n)):
+        chain = frozenset(ch.chamber_chain(c))
+        for p in chain:
+            walls.setdefault(chain - {p}, []).append(idx)
+    return sorted({e for members in walls.values() for e in itertools.combinations(members, 2)})
+
+
+def test_adjacency_matches_the_grouping_by_chain_points():
+    for n in range(1, 9):
+        chambers, edges = inc.chamber_adjacency_graph(n)
+        assert chambers == ch.all_chambers(n)
+        assert edges == _wall_grouped_edges(n)
+        if n >= 2:
+            # 2^(n-1) edges toggle 1 in the subset; for each m < n, 2^(n-2)
+            # edges swap m and m + 1 between the subset and its complement
+            assert len(edges) == (n + 1) * 2 ** (n - 2)
 
 
 def test_adjacency_graph_shape():

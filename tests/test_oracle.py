@@ -562,11 +562,11 @@ PINNED_CELLS = {
 }
 PINNED_FLATS = {
     4: (
-        {"lp_calls": 100, "pivots": 95, "flats": 34, "closures": 125},
+        {"lp_calls": 54, "pivots": 95, "flats": 34, "closures": 125},
         "8ac8037f6a8ecfa2575265236d1797a92d2d61dc7ca90628473731e8023b11d1",
     ),
     5: (
-        {"lp_calls": 611, "pivots": 641, "flats": 89, "closures": 593},
+        {"lp_calls": 335, "pivots": 641, "flats": 89, "closures": 593},
         "03577b47b50a2506374ae45dca672fb80392b717493372df0ab5457fb116a5a2",
     ),
 }

@@ -3,6 +3,7 @@ count, ensembles/pseudo-ensembles against brute-force subset filtering, and
 the canonical-form round trip."""
 
 import hashlib
+import itertools
 import random
 from functools import lru_cache
 
@@ -72,6 +73,18 @@ def test_chain_edge_cases():
     assert list(enumerate_chains(3, -1)) == []
     assert list(enumerate_chains(3, 4)) == []
     assert chain_count(3, 0) == 1 and chain_count(3, -1) == 0 and chain_count(3, 4) == 0
+
+
+def test_chain_order_is_that_of_the_filtered_combinations():
+    # combinations keep all_points' (level, b) order, so the chains among
+    # them come in the lexicographic order enumerate_chains promises
+    for n in range(0, 7):
+        pts = all_points(n)
+        for k in range(-1, n + 2):
+            expected = (
+                [c for c in itertools.combinations(pts, k) if is_chain(c)] if k >= 0 else []
+            )
+            assert list(enumerate_chains(n, k)) == expected, (n, k)
 
 
 def test_long_chain_needs_no_recursion():
