@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .oracle.arrangement import SignCondition, gl_arrangement
 from .oracle.linalg import dot, integer_row
-from .poset import Chain, PosetPoint
+from .poset import PosetPoint
 
 
 class TableauError(ValueError):
@@ -147,8 +146,9 @@ def tableau_validate(T: Union[str, Sequence[Sequence[int]]]) -> Chamber:
 
 
 def chamber_pi(chamber: Chamber) -> tuple[int, ...]:
-    """The counts pi_1, ..., pi_n of a chamber: pi_l counts the subset
-    members above n - l.  Its chain holds (pi_l, l - pi_l) at level l."""
+    """The counts pi_1, ..., pi_n of a chamber, its chain in ints: pi_l
+    counts the subset members above n - l, and the chain's point at level l,
+    the index of extreme ray e_l, is (pi_l, l - pi_l)."""
     n, members = chamber.n, set(chamber.subset)
     pi, out = 0, []
     for l in range(1, n + 1):
@@ -156,12 +156,6 @@ def chamber_pi(chamber: Chamber) -> tuple[int, ...]:
             pi += 1
         out.append(pi)
     return tuple(out)
-
-
-def chamber_chain(chamber: Chamber) -> Chain:
-    """The maximal chain indexing a chamber's extreme rays, one per level:
-    the point (pi_l, l - pi_l) of level l is the index of extreme ray e_l."""
-    return tuple(PosetPoint(pi, l - pi) for l, pi in enumerate(chamber_pi(chamber), 1))
 
 
 def extreme_rays(chamber: Chamber) -> tuple[tuple[int, ...], ...]:
@@ -177,9 +171,7 @@ def ray_from_index(n: int, point: PosetPoint) -> tuple[int, ...]:
     return _ray(n, point.a, point.b)
 
 
-@lru_cache(maxsize=1024)
 def _ray(n: int, a: int, b: int) -> tuple[int, ...]:
-    # bounded: at large n each vector is long and few are asked for again
     return (1,) * a + (0,) * (n - a - b) + (-1,) * b
 
 

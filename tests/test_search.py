@@ -22,9 +22,6 @@ UNCALLED = {
     # the chain tests check enumerated chains against this definition;
     # face_from_chain sorts its points once and compares them in place
     "is_chain",
-    # the chamber tests check extreme_rays against this chain of points;
-    # the package itself reads a chamber's chain as the ints of chamber_pi
-    "chamber_chain",
 }
 
 
