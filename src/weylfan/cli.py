@@ -13,6 +13,11 @@ could not be written.  A refusal is raised as ``UsageError`` (or the oracle's
 ``CapExceeded``) wherever it is decided; ``main`` alone reports it.  Every
 subcommand writes its stdout through ``_emit``.
 
+This module renders every output (count rows as text, JSON or CSV, the
+enumerate lines, the graph and the verify reports); the other modules only
+compute.  ``main`` lifts the int-to-str digit limit for the whole run, since
+a count row may be longer than CPython's default 4,300 digits.
+
 ``--oracle-cap`` caps every oracle search that a run makes: on ``count``
 the one behind the chosen table, on ``verify --oracle`` both.  Without it
 each search keeps the default cap of its own signature; it is refused
@@ -25,6 +30,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import Optional
 
 from . import counting as ct
@@ -91,6 +97,21 @@ def _emit(text: str, out: Optional[str]) -> int:
         print(f"cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
         return 4
     return 0
+
+
+@contextmanager
+def _no_digit_limit():
+    """Lift the int-to-str digit limit of CPython 3.10.7+ for a block: a
+    printed value may be longer than its default 4,300 digits."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _jsonline(obj) -> str:
@@ -160,18 +181,17 @@ def cmd_count(args: argparse.Namespace) -> int:
         row = _count_row(table, n, args.method, args)
 
     provenance = _PROVENANCE_BY_METHOD[args.method]
-    if args.k is None:
-        entries = tuple((n, k, v, provenance) for k, v in enumerate(row))
-    else:
-        entries = ((n, args.k, row[args.k], provenance),)
-    result = ct.CountTable(table, entries)
-
+    ks = range(n + 1) if args.k is None else [args.k]
     if args.format == "text":
-        text = " ".join(str(v) for (_, _, v, _) in entries) + "\n"
+        text = " ".join(str(row[k]) for k in ks) + "\n"
     elif args.format == "json":
-        text = result.to_json() + "\n"
+        entries = [{"n": n, "k": k, "value": row[k], "provenance": provenance} for k in ks]
+        text = _jsonline({"table": table, "entries": entries}) + "\n"
     else:
-        text = result.to_csv()
+        # the table names and provenances need no csv quoting
+        text = "table,n,k,value,provenance\n" + "".join(
+            f"{table},{n},{k},{row[k]},{provenance}\n" for k in ks
+        )
     return _emit(text, args.out)
 
 
@@ -182,19 +202,19 @@ def _point_pair(p) -> list[int]:
     return [p.a, p.b]
 
 
-def _interval_json(iv) -> list:
-    hi = None if iv.hi is INF else _point_pair(iv.hi)
-    return [_point_pair(iv.lo), hi]
+def _point_text(p) -> str:
+    return f"({p.a},{p.b})"
 
 
-def _chamber_records(n):
+def _chamber_lines(n, fmt):
+    """The lines of enumerate chambers; only json carries the rays."""
     for i, c in enumerate(all_chambers(n)):
-        yield {
-            "index": i,
-            "signs": c.char_string(),
-            "subset": sorted(c.subset),
-            "rays": [list(r) for r in extreme_rays(c)],
-        }
+        signs, subset = c.char_string(), sorted(c.subset)
+        if fmt == "json":
+            rays = [list(r) for r in extreme_rays(c)]
+            yield _jsonline({"index": i, "signs": signs, "subset": subset, "rays": rays})
+        else:
+            yield f"{i}\t{signs}\t{','.join(map(str, subset)) or '-'}"
 
 
 def _face_lines(n, dims, fmt):
@@ -207,7 +227,7 @@ def _face_lines(n, dims, fmt):
         if fmt == "json":
             frags[p.a][p.b] = (_jsonline(_point_pair(p)), _jsonline(list(ray_from_index(n, p))))
         else:
-            frags[p.a][p.b] = f"({p.a},{p.b})"
+            frags[p.a][p.b] = _point_text(p)
     for k in dims:
         for chain in enumerate_chains(n, k):
             parts = [frags[p.a][p.b] for p in inc.face_from_chain(n, chain).chain]
@@ -219,32 +239,28 @@ def _face_lines(n, dims, fmt):
                 yield f"{k}\t{' '.join(parts) or '-'}"
 
 
-def _flat_records(n, dims):
+def _flat_lines(n, dims, fmt):
+    """The lines of enumerate flats, one per ensemble; only json carries the
+    points and hyperplanes.  An interval's top is null in json, inf in text."""
     for k in dims:
         for flat in inc.flats_of(n, k):
-            yield {
-                "dim": k,
-                "intervals": [_interval_json(iv) for iv in flat.ensemble.intervals],
-                "points": [_point_pair(p) for p in flat.rays()],
-                "hyperplanes": [list(idx) for idx in flat.hyperplanes],
-            }
-
-
-def _record_text(kind: str, rec: dict) -> str:
-    if kind == "chambers":
-        subset = ",".join(str(i) for i in rec["subset"]) or "-"
-        return f"{rec['index']}\t{rec['signs']}\t{subset}"
-    parts = []
-    for lo, hi in rec["intervals"]:
-        hi_text = "inf" if hi is None else f"({hi[0]},{hi[1]})"
-        parts.append(f"({lo[0]},{lo[1]})..{hi_text}")
-    return f"{rec['dim']}\t" + (" ".join(parts) or "-")
-
-
-def _record_lines(kind: str, records, fmt: str):
-    if fmt == "json":
-        return (_jsonline(rec) for rec in records)
-    return (_record_text(kind, rec) for rec in records)
+            intervals = flat.ensemble.intervals
+            if fmt == "json":
+                yield _jsonline({
+                    "dim": k,
+                    "intervals": [
+                        [_point_pair(iv.lo), None if iv.hi is INF else _point_pair(iv.hi)]
+                        for iv in intervals
+                    ],
+                    "points": [_point_pair(p) for p in flat.rays()],
+                    "hyperplanes": [list(idx) for idx in flat.hyperplanes],
+                })
+            else:
+                parts = [
+                    f"{_point_text(iv.lo)}..{'inf' if iv.hi is INF else _point_text(iv.hi)}"
+                    for iv in intervals
+                ]
+                yield f"{k}\t{' '.join(parts) or '-'}"
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
@@ -255,16 +271,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if args.k is not None:
             raise UsageError("chambers have no dimension filter; drop -k")
         estimate = 2**n
-        lines = _record_lines(kind, _chamber_records(n), args.format)
+        lines = _chamber_lines(n, args.format)
     else:
         _check_k(args.k, n)
         dims = range(n + 1) if args.k is None else [args.k]
         recurrence = _paths(kind)[0]
         estimate = sum(recurrence(n, k) for k in dims)
-        if kind == "faces":
-            lines = _face_lines(n, dims, args.format)
-        else:
-            lines = _record_lines(kind, _flat_records(n, dims), args.format)
+        lines = (_face_lines if kind == "faces" else _flat_lines)(n, dims, args.format)
 
     if estimate > args.limit:
         raise UsageError(
@@ -479,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    with ct.no_digit_limit():  # a printed row may be longer than the limit
+    with _no_digit_limit():
         parser = build_parser()
         try:
             args = parser.parse_args(argv)

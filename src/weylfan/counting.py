@@ -3,7 +3,8 @@ arrangement: direct recurrences, linear recurrences, closed forms, and
 rational bivariate series expansion.  All arithmetic is arbitrary precision;
 the independent paths are cross-checked against each other and against
 enumeration in the test suite, with the handful of discrepancies in the
-published reference values recorded in data/errata.json.
+published reference values recorded in data/errata.json.  This module
+only computes and loads that errata record; the CLI renders every row.
 
 Every recurrence is a loop that builds its table upward, one row at a time
 from the rows below it, so no function recurses and any n works.  The
@@ -14,11 +15,7 @@ _ROWS_KEPT results, enough for a caller that walks one row entry by entry.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -257,53 +254,6 @@ def series_product_coeff(A: Poly2, S: BiSeries, n: int, k: int) -> int:
     return sum(
         a * S.coeff(n - i, k - j) for (i, j), a in A.items() if i <= n and j <= k
     )
-
-
-# --- tables and emission -----------------------------------------------------
-
-
-@contextmanager
-def no_digit_limit():
-    """Lift the int-to-str digit limit of CPython 3.10.7+ for a block: a
-    value may be longer than its default 4,300 digits."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Rows (n, k, value) of a face or flat count, tagged with how each value
-    was obtained."""
-
-    kind: str  # "faces" | "flats"
-    entries: tuple[tuple[int, int, int, str], ...]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["table", "n", "k", "value", "provenance"])
-        with no_digit_limit():
-            for n, k, v, prov in self.entries:
-                writer.writerow([self.kind, n, k, v, prov])
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        payload = {
-            "table": self.kind,
-            "entries": [
-                {"n": n, "k": k, "value": v, "provenance": prov}
-                for (n, k, v, prov) in self.entries
-            ],
-        }
-        with no_digit_limit():
-            return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # --- errata ------------------------------------------------------------------

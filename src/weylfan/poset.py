@@ -13,7 +13,6 @@ interval are listed from its bounds, never by filtering all of E_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 from .search import depth_first
@@ -180,7 +179,6 @@ def enumerate_chains(n: int, k: int) -> Iterator[Chain]:
             yield chain
 
 
-@lru_cache(maxsize=None)
 def chain_count(n: int, k: int) -> int:
     """Number of k-chains of E*_n, by dynamic programming (no enumeration).
 

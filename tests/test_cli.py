@@ -12,8 +12,9 @@ import pytest
 import weylfan
 from weylfan import counting as ct
 from weylfan.cli import _jsonline, main
-from weylfan.incidence import adjacency_dot, face_from_chain
-from weylfan.poset import enumerate_chains
+from weylfan.chambers import all_chambers, extreme_rays
+from weylfan.incidence import adjacency_dot, face_from_chain, flats_of
+from weylfan.poset import INF, enumerate_chains
 
 
 def run(capsys, *argv):
@@ -68,6 +69,14 @@ def test_count_json(capsys):
     assert payload["table"] == "faces"
     assert [e["value"] for e in payload["entries"]] == [1, 9, 16, 8]
     assert {e["provenance"] for e in payload["entries"]} == {"recurrence"}
+    # one compact line with sorted keys
+    argv = ("count", "--flats", "-n", "2", "-k", "1", "--method", "series", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (
+        0,
+        '{"entries":[{"k":1,"n":2,"provenance":"rational-expansion","value":3}],'
+        '"table":"flats"}\n',
+    )
 
 
 def test_count_methods_agree(capsys):
@@ -261,6 +270,71 @@ def test_enumerate_faces_lines_equal_the_records(capsys):
     code, out, _ = run(capsys, "enumerate", "faces", "-n", str(n), "-k", "2")
     assert code == 0
     assert out.splitlines() == [_jsonline(rec) for rec in records if rec["dim"] == 2]
+
+
+def test_enumerate_flats_lines_equal_the_records(capsys):
+    # each json line is the canonical json of the flat record; each text
+    # line renders its intervals, (a,b)..(c,d) or (a,b)..inf
+    for n in range(1, 6):
+        records = [
+            {
+                "dim": k,
+                "intervals": [
+                    [[iv.lo.a, iv.lo.b], None if iv.hi is INF else [iv.hi.a, iv.hi.b]]
+                    for iv in flat.ensemble.intervals
+                ],
+                "points": [[p.a, p.b] for p in flat.rays()],
+                "hyperplanes": [list(idx) for idx in flat.hyperplanes],
+            }
+            for k in range(n + 1)
+            for flat in flats_of(n, k)
+        ]
+        code, out, _ = run(capsys, "enumerate", "flats", "-n", str(n))
+        assert code == 0
+        assert out.splitlines() == [_jsonline(rec) for rec in records]
+        code, out, _ = run(capsys, "enumerate", "flats", "-n", str(n), "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            f"{rec['dim']}\t"
+            + (
+                " ".join(
+                    f"({lo[0]},{lo[1]})..{'inf' if hi is None else f'({hi[0]},{hi[1]})'}"
+                    for lo, hi in rec["intervals"]
+                )
+                or "-"
+            )
+            for rec in records
+        ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "74e3c1fa3e8c89d6b908fbb15788a0f6fffdbba730e9b858dcc8936748c8c5a5"
+    )
+
+
+def test_enumerate_chambers_lines_equal_the_records(capsys):
+    # each json line is the canonical json of the chamber record; each text
+    # line is its index, signs and subset
+    for n in range(1, 5):
+        records = [
+            {
+                "index": i,
+                "signs": c.char_string(),
+                "subset": sorted(c.subset),
+                "rays": [list(r) for r in extreme_rays(c)],
+            }
+            for i, c in enumerate(all_chambers(n))
+        ]
+        code, out, _ = run(capsys, "enumerate", "chambers", "-n", str(n))
+        assert code == 0
+        assert out.splitlines() == [_jsonline(rec) for rec in records]
+        code, out, _ = run(capsys, "enumerate", "chambers", "-n", str(n), "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            f"{rec['index']}\t{rec['signs']}\t" + (",".join(map(str, rec["subset"])) or "-")
+            for rec in records
+        ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c6f71da07a2c9ee0d75c129657f764547aff7d74b0d724f4fa3f38c55cd96857"
+    )
 
 
 def test_enumerate_flats_matches_counts(capsys):

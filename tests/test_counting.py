@@ -2,8 +2,6 @@
 agreement between independent computing paths, the convolution identities,
 and the errata record."""
 
-import sys
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,31 +181,6 @@ def test_expand_rational_errors():
     # 1/(1-2s) is fine and integer
     s = ct.expand_rational({(0, 0): 1}, {(0, 0): 1, (1, 0): -2}, 6, 0)
     assert [s.coeff(i, 0) for i in range(7)] == [2**i for i in range(7)]
-
-
-def test_count_table_emission():
-    t = ct.CountTable("faces", tuple((2, k, v, "recurrence") for k, v in enumerate((1, 5, 4))))
-    csv_text = t.to_csv()
-    assert csv_text.splitlines()[0] == "table,n,k,value,provenance"
-    assert "faces,2,1,5,recurrence" in csv_text
-    assert '"provenance":"recurrence"' in t.to_json()
-
-
-@pytest.mark.skipif(
-    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
-)
-def test_count_table_emits_values_past_the_digit_limit():
-    digits = "1" + "0" * 5000  # compared as text: the limit binds str <-> int
-    t = ct.CountTable("faces", ((1, 1, 10**5000, "recurrence"),))
-    limit = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(4300)  # the default, whatever the environment sets
-        csv_text, json_text = t.to_csv(), t.to_json()
-        assert sys.get_int_max_str_digits() == 4300
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert csv_text.splitlines()[1] == f"faces,1,1,{digits},recurrence"
-    assert f'"value":{digits}}}' in json_text
 
 
 def test_errata_record():

@@ -1,6 +1,7 @@
 """The shared depth-first walk, the rule that no function of the package
-recurses (every tree is walked by search.depth_first), and the audit that
-every public name of the package has a caller."""
+recurses (every tree is walked by search.depth_first), the rule that only
+the CLI renders output, and the audit that every public name of the package
+has a caller."""
 
 import ast
 import importlib
@@ -98,6 +99,33 @@ def test_package_has_no_assert_statement():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_only_the_cli_renders_output():
+    # the other modules compute; incidence.adjacency_dot builds a string
+    # and writes nothing
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path == PACKAGE / "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                for name in names
+                if name in ("print", "json.dumps", "sys.stdout")
+                or name.split(".")[0] == "csv"
+            ]
     assert found == []
 
 
