@@ -166,7 +166,7 @@ def extreme_rays(chamber: Chamber) -> tuple[tuple[int, ...], ...]:
 
 def ray_from_index(n: int, point: PosetPoint) -> tuple[int, ...]:
     """The ray vector (1^a, 0^(n-a-b), (-1)^b) for a point of E*_n."""
-    if point.level < 1 or point.level > n:
+    if not isinstance(point, PosetPoint) or not 1 <= point.level <= n:
         raise ValueError(f"{point} is not in E*_{n}")
     return _ray(n, point.a, point.b)
 

@@ -105,9 +105,9 @@ def flat_from_two_point_data(
     top level; otherwise A must leave a genuine gap above B.  Returns one
     hyperplane when the two generators collapse, two otherwise.
     """
-    x, y = B.a, B.b
-    if B.level > n:
+    if not isinstance(B, PosetPoint) or B.level > n:
         raise ValueError(f"{B} is not in E_{n}")
+    x, y = B.a, B.b
     if A is INF:
         if B.level >= n:
             raise ValueError(f"down-set top {B} must have level < {n}")

@@ -289,7 +289,8 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[Counter] = None
     """All feasible sign vectors of an arrangement's cuts and walls.
 
     Returns (cells, counts) where each cell is (cut_signs, facet_signs,
-    cell_dim, witness), the witness an int point, sorted by sign vector.
+    cell_dim, witness), sorted by sign vector: facet_signs are the signs of
+    arr.walls, and the witness is an int point.
     """
     if stats is None:
         stats = Counter()

@@ -2,12 +2,15 @@
 
 E_n is the set of lattice points (a, b) with a, b >= 0 and a + b <= n, ordered
 componentwise; E*_n drops the origin and Ehat_n adjoins a maximum INF.  The
-level l(a, b) = a + b grades the poset.  Chains in E*_n index the faces of the
-restricted weight arrangement, ensembles (certain unions of intervals) index
-its flats, so everything here is exact and deterministic: enumeration orders
-are fixed and iterators are lazy.  Chains and interval unions are grown one
-point or interval at a time by search.depth_first, and the points of an
-interval are listed from its bounds, never by filtering all of E_n.
+level l(a, b) = a + b grades the poset.  Points and INF define only <= and <;
+Python answers > and >= by reflection.  Chains in E*_n index the faces of the
+restricted weight arrangement, ensembles index its flats.  Both ensembles and
+the pseudo-ensembles of the rank recursion are unions of intervals, one type:
+an Ensemble is a PseudoEnsemble whose first interval starts at the origin.
+Everything here is exact and deterministic: enumeration orders are fixed and
+iterators are lazy.  Chains and interval unions are grown one point or
+interval at a time by search.depth_first, and the points of an interval are
+listed from its bounds, never by filtering all of E_n.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ class PosetPoint:
     b: int
 
     def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 0:
-            raise ValueError(f"poset point needs nonnegative coordinates, got ({self.a}, {self.b})")
+        if type(self.a) is not int or type(self.b) is not int or self.a < 0 or self.b < 0:
+            raise ValueError(f"a point of N^2 needs nonnegative ints, got ({self.a!r}, {self.b!r})")
 
     @property
     def level(self) -> int:
@@ -38,6 +41,7 @@ class PosetPoint:
 
     # The dunder comparisons implement the *partial* componentwise order, so
     # sorted() must never be called on raw points; use sort_key instead.
+    # x >= y and x > y fall back to y <= x and y < x.
     def __le__(self, other: object):
         if isinstance(other, PosetPoint):
             return self.a <= other.a and self.b <= other.b
@@ -51,19 +55,6 @@ class PosetPoint:
             return le
         return le and self != other
 
-    def __ge__(self, other: object):
-        if isinstance(other, PosetPoint):
-            return other.__le__(self)
-        if other is INF:
-            return False
-        return NotImplemented
-
-    def __gt__(self, other: object):
-        ge = self.__ge__(other)
-        if ge is NotImplemented:
-            return ge
-        return ge and self != other
-
     def __repr__(self) -> str:
         return f"({self.a},{self.b})"
 
@@ -73,6 +64,7 @@ class _Infinity:
 
     _instance = None
 
+    # copy.deepcopy and pickle rebuild INF through __new__, so `is INF` holds
     def __new__(cls):
         if cls._instance is None:
             cls._instance = super().__new__(cls)
@@ -83,12 +75,6 @@ class _Infinity:
 
     def __lt__(self, other: object):
         return False
-
-    def __ge__(self, other: object):
-        return True
-
-    def __gt__(self, other: object):
-        return other is not INF
 
     def __repr__(self) -> str:
         return "INF"
@@ -101,7 +87,10 @@ ExtendedPoint = Union[PosetPoint, _Infinity]
 
 def sort_key(p: PosetPoint) -> tuple[int, int]:
     """Total order refining the poset order: by level, then by b."""
-    return (p.level, p.b)
+    try:
+        return (p.level, p.b)
+    except AttributeError:
+        raise ValueError(f"{p!r} is not a point of N^2") from None
 
 
 def all_points(n: int, *, include_origin: bool = False) -> list[PosetPoint]:
@@ -228,12 +217,7 @@ def _decompose(n: int, members: set[PosetPoint]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def _check_presentation(n: int, intervals: tuple[Interval, ...], *, origin_start: bool) -> None:
-    if origin_start:
-        if not intervals:
-            raise ValueError("an ensemble has at least one interval")
-        if intervals[0].lo != PosetPoint(0, 0):
-            raise ValueError(f"first interval must start at the origin, got {intervals[0].lo}")
+def _check_presentation(n: int, intervals: tuple[Interval, ...]) -> None:
     for iv in intervals:
         if iv.lo.level > n:
             raise ValueError(f"interval start {iv.lo} lies outside E_{n}")
@@ -250,75 +234,74 @@ def _check_presentation(n: int, intervals: tuple[Interval, ...], *, origin_start
             raise ValueError(f"last interval ends at level {last.level}, needs < {n} or INF")
 
 
-def _realize(n: int, intervals: tuple[Interval, ...], *, include_origin: bool) -> frozenset[PosetPoint]:
-    floor = 0 if include_origin else 1
-    return frozenset(p for iv in intervals for p in _points_between(n, iv.lo, iv.hi, floor))
-
-
 @dataclass(frozen=True)
-class Ensemble:
-    """A union of intervals of Ehat_n starting at the origin, realized in E*_n.
+class PseudoEnsemble:
+    """A union of intervals of Ehat_n, realized in E_n (the origin counts
+    when covered).
 
-    The stored presentation is canonical (minimal interval decomposition);
-    two ensembles are equal iff their realized sets are, which the canonical
-    form makes a plain field comparison.  rank = number of distinct realized
-    levels; it equals the dimension of the corresponding flat and is *not*
-    the number of intervals.
+    The stored presentation is canonical (minimal interval decomposition,
+    kept as a tuple); two unions of one type are equal iff their realized
+    sets are, which the canonical form makes a plain field comparison.
+    rank = distinct realized levels - 1, so the empty union is the unique
+    pseudo-ensemble of rank -1.
     """
 
     n: int
     intervals: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
-        _check_presentation(self.n, self.intervals, origin_start=True)
+        object.__setattr__(self, "intervals", tuple(self.intervals))
+        _check_presentation(self.n, self.intervals)
+
+    @classmethod
+    def from_points(cls, n: int, points: Iterable[PosetPoint]) -> "PseudoEnsemble":
+        """Canonicalize a realized subset of E_n, or raise ValueError."""
+        pts = set(points)
+        if not all(isinstance(p, PosetPoint) and p.level <= n for p in pts):
+            raise ValueError("realized points must lie in E_n")
+        return cls(n, _decompose(n, pts))
+
+    def realized(self) -> frozenset[PosetPoint]:
+        return frozenset(p for iv in self.intervals for p in _points_between(self.n, iv.lo, iv.hi))
+
+    @property
+    def rank(self) -> int:
+        # an interval covers every level from its start to its end (n for
+        # INF), and the gap condition keeps the intervals a level apart
+        return sum(
+            (self.n if iv.hi is INF else iv.hi.level) - iv.lo.level + 1 for iv in self.intervals
+        ) - 1
+
+
+@dataclass(frozen=True)
+class Ensemble(PseudoEnsemble):
+    """A pseudo-ensemble whose first interval starts at the origin, realized
+    in E*_n.
+
+    The inherited rank subtracts the origin's level, so it is the number
+    of distinct realized levels; it equals the dimension of the
+    corresponding flat and is *not* the number of intervals.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.intervals or self.intervals[0].lo != PosetPoint(0, 0):
+            raise ValueError(f"an ensemble starts at the origin, got {self.intervals}")
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[PosetPoint]) -> "Ensemble":
         """Canonicalize a realized subset of E*_n, or raise ValueError."""
         pts = set(points)
-        if any(p.level == 0 or p.level > n for p in pts):
+        if PosetPoint(0, 0) in pts:
             raise ValueError("realized points must lie in E*_n")
-        return cls(n, _decompose(n, pts | {PosetPoint(0, 0)}))
+        return super().from_points(n, pts | {PosetPoint(0, 0)})
 
     def realized(self) -> frozenset[PosetPoint]:
-        return _realize(self.n, self.intervals, include_origin=False)
-
-    @property
-    def rank(self) -> int:
-        return len({p.level for p in self.realized()})
+        return super().realized() - {PosetPoint(0, 0)}
 
     def __repr__(self) -> str:
         body = " u ".join(repr(iv) for iv in self.intervals)
         return f"Ensemble(n={self.n}, {body})"
-
-
-@dataclass(frozen=True)
-class PseudoEnsemble:
-    """Like an Ensemble but the first interval may start anywhere in E_n.
-
-    Realized in E_n (the origin counts when covered).  The empty union is the
-    unique pseudo-ensemble of rank -1; in general rank = distinct levels - 1.
-    """
-
-    n: int
-    intervals: tuple[Interval, ...]
-
-    def __post_init__(self) -> None:
-        _check_presentation(self.n, self.intervals, origin_start=False)
-
-    @classmethod
-    def from_points(cls, n: int, points: Iterable[PosetPoint]) -> "PseudoEnsemble":
-        pts = set(points)
-        if any(p.level > n for p in pts):
-            raise ValueError("realized points must lie in E_n")
-        return cls(n, _decompose(n, pts))
-
-    def realized(self) -> frozenset[PosetPoint]:
-        return _realize(self.n, self.intervals, include_origin=True)
-
-    @property
-    def rank(self) -> int:
-        return len({p.level for p in self.realized()}) - 1
 
 
 def _interval_unions(n: int, target: int, floor: int, cls, first: Interval):

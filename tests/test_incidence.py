@@ -10,6 +10,7 @@ from weylfan.poset import (
     INF,
     Ensemble,
     PosetPoint,
+    PseudoEnsemble,
     all_points,
     enumerate_ensembles,
     is_chain,
@@ -228,3 +229,27 @@ def test_flats_of_enumeration():
             flats = list(inc.flats_of(n, k))
             assert len(flats) == expected
             assert len({f.ensemble.realized() for f in flats}) == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ch.ray_from_index(3, INF),
+        lambda: inc.face_from_chain(3, [PosetPoint(1, 0), INF]),
+        lambda: inc.flat_from_two_point_data(3, INF, INF),
+        lambda: inc.flat_from_two_point_data(3, INF, PosetPoint(2, 1)),
+        lambda: Ensemble.from_points(3, [PosetPoint(1, 0), INF]),
+        lambda: PseudoEnsemble.from_points(3, [PosetPoint(0, 0), INF]),
+    ],
+    ids=[
+        "ray_from_index",
+        "face_from_chain",
+        "two_point_data_B_INF_A_INF",
+        "two_point_data_B_INF",
+        "Ensemble.from_points",
+        "PseudoEnsemble.from_points",
+    ],
+)
+def test_inf_is_refused_where_a_finite_point_is_needed(call):
+    with pytest.raises(ValueError):
+        call()

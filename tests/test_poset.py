@@ -2,9 +2,11 @@
 count, ensembles/pseudo-ensembles against brute-force subset filtering, and
 the canonical-form round trip."""
 
+import copy
 import hashlib
 import itertools
-import random
+import pickle
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -44,18 +46,35 @@ def test_levels_partition_and_size(n):
     assert sorted(pts, key=sort_key) == sorted(by_level, key=sort_key)
 
 
+def _componentwise_le(x, y):
+    """The order of Ehat_n: componentwise on points, INF on top."""
+    return y is INF or (x is not INF and x.a <= y.a and x.b <= y.b)
+
+
 def test_order_axioms_seeded():
-    rng = random.Random(20250825)
-    pts = all_points(8, include_origin=True)
-    for _ in range(500):
-        p, q, r = (rng.choice(pts) for _ in range(3))
-        assert p <= p
-        if p <= q and q <= p:
-            assert p == q
+    """All four comparisons over every ordered pair of E_5 u {INF}, both
+    operands in each place, against the componentwise order with INF on
+    top; > and >= come from the reflected <= and <."""
+    elems = all_points(5, include_origin=True) + [INF]
+    for x, y in itertools.product(elems, repeat=2):
+        le, ge = _componentwise_le(x, y), _componentwise_le(y, x)
+        assert (x <= y, x < y, x >= y, x > y) == (le, le and x != y, ge, ge and x != y), (x, y)
+    for p, q, r in itertools.product(elems, repeat=3):
         if p <= q and q <= r:
             assert p <= r
-        assert (p <= q) == (p.a <= q.a and p.b <= q.b)
-        assert p <= INF and not (INF <= p) and INF <= INF
+    # the order tests INF by identity, so every copy of INF must be INF
+    assert copy.deepcopy(INF) is INF and pickle.loads(pickle.dumps(INF)) is INF
+    assert copy.deepcopy(Interval(P(1, 0), INF)).hi is INF
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.5, 0), (0, Fraction(1)), ("1", 0), (0, None), (-1, 0)],
+    ids=["float", "Fraction", "str", "None", "negative"],
+)
+def test_points_need_nonnegative_int_coordinates(a, b):
+    with pytest.raises(ValueError, match="nonnegative ints"):
+        PosetPoint(a, b)
 
 
 def test_chain_enumeration_order_n2():
@@ -215,10 +234,27 @@ def test_enumeration_order_pinned(gen, dims, size, digest):
 
 @pytest.mark.parametrize("n", range(0, 6))
 def test_ensemble_canonical_round_trip(n):
-    for k in range(n + 1):
-        for e in enumerate_ensembles(n, k):
-            assert e.rank == k
-            assert Ensemble.from_points(n, e.realized()) == e
+    """Both kinds of interval union: the rank read from the bounds is the
+    enumerated k, and canonicalizing the realized set gives the union back."""
+    for cls, gen, ks in [
+        (Ensemble, enumerate_ensembles, range(n + 1)),
+        (PseudoEnsemble, enumerate_pseudo_ensembles, range(-1, n + 1)),
+    ]:
+        for k in ks:
+            for e in gen(n, k):
+                assert type(e) is cls and e.rank == k
+                assert cls.from_points(n, e.realized()) == e
+
+
+@pytest.mark.parametrize("cls", [Ensemble, PseudoEnsemble])
+def test_equal_sets_equal_unions(cls):
+    """The intervals are stored as a tuple, so a list presentation of the
+    same union is equal and hashes alike."""
+    ivs = (Interval(P(0, 0), P(1, 0)), Interval(P(2, 1), INF))
+    as_list, as_tuple = cls(3, list(ivs)), cls(3, ivs)
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    assert as_list.intervals == ivs and as_list.realized() == as_tuple.realized()
+    assert len({as_list, as_tuple, cls.from_points(3, as_tuple.realized())}) == 1
 
 
 @pytest.mark.parametrize("n", range(0, 5))
