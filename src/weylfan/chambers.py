@@ -10,13 +10,12 @@ and record which positions carry a positive sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from .oracle.arrangement import SignCondition, gl_arrangement
 from .oracle.linalg import dot, integer_row
 from .poset import PosetPoint
+from .record import Record
 
 
 class TableauError(ValueError):
@@ -30,20 +29,20 @@ class TableauError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(Record):
     """A chamber, stored by its rank n and subset (strictly decreasing)."""
 
-    n: int
-    subset: tuple[int, ...]
+    __slots__ = ("n", "subset")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(self, n: int, subset: tuple[int, ...]) -> None:
+        if n < 0:
             raise ValueError("rank must be nonnegative")
-        if list(self.subset) != sorted(set(self.subset), reverse=True):
+        if list(subset) != sorted(set(subset), reverse=True):
             raise ValueError("subset must be stored strictly decreasing")
-        if any(not 1 <= a <= self.n for a in self.subset):
-            raise ValueError(f"subset {self.subset} not contained in [{self.n}]")
+        if any(not 1 <= a <= n for a in subset):
+            raise ValueError(f"subset {subset} not contained in [{n}]")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "subset", subset)
 
     @property
     def char_vector(self) -> tuple[int, ...]:
@@ -182,6 +181,8 @@ def classify_point(n: int, x: Sequence) -> Union[Chamber, SignCondition]:
     Chamber; everything else returns its SignCondition, the signs of the
     rows of gl_arrangement(n).  Points outside the cone raise ValueError.
     """
+    from fractions import Fraction  # here, not at the top: few runs classify a point
+
     vec = [Fraction(v) for v in x]
     if len(vec) != n:
         raise ValueError(f"expected {n} coordinates, got {len(vec)}")

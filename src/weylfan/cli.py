@@ -36,16 +36,7 @@ from typing import Optional
 from . import counting as ct
 from . import incidence as inc
 from .chambers import all_chambers, extreme_rays, ray_from_index
-from .oracle import (
-    CapExceeded,
-    check_weights_proportional_to_roots,
-    chamber_cell_counts,
-    enumerate_cells,
-    enumerate_flats_geometric,
-    simplex_counts,
-    weight_system,
-)
-from .oracle import weightsystems as wsys
+from .oracle.arrangement import CapExceeded
 from .poset import INF, all_points, enumerate_chains, enumerate_ensembles
 
 ENUMERATION_BOUND = 10  # largest rank where count --method enumerate walks objects
@@ -70,17 +61,23 @@ class UsageError(Exception):
 
 
 def _paths(table: str):
-    """Recurrence, series, object enumerator and oracle of one table.
+    """Recurrence, series and object enumerator of one table.
 
     The names are looked up at each call, so a rebinding of the module
     attributes (perfbench's tracer makes one) is seen here."""
     if table == "faces":
-        return ct.g_recurrence, ct.g_series, enumerate_chains, enumerate_cells
-    return ct.h_recurrence, ct.h_series, enumerate_ensembles, enumerate_flats_geometric
+        return ct.g_recurrence, ct.g_series, enumerate_chains
+    return ct.h_recurrence, ct.h_series, enumerate_ensembles
 
 
-def _run_oracle(oracle, n: int, args: argparse.Namespace):
-    """One oracle search at rank n, capped by --oracle-cap when it is given."""
+def _run_oracle(table: str, n: int, args: argparse.Namespace):
+    """The oracle search of one table at rank n, capped by --oracle-cap when
+    it is given.  The search is imported here, at its first run, since most
+    runs make none; like _paths, it is looked up at each call."""
+    if table == "faces":
+        from .oracle.cells import enumerate_cells as oracle
+    else:
+        from .oracle.flats import enumerate_flats_geometric as oracle
     return oracle(n) if args.oracle_cap is None else oracle(n, cap=args.oracle_cap)
 
 
@@ -129,7 +126,7 @@ def _check_k(k: Optional[int], n: int) -> None:
 def _count_row(table: str, n: int, method: str, args: argparse.Namespace) -> list[int]:
     """One table row by one method; raises UsageError when the method does
     not apply at this rank (or at all), CapExceeded beyond an oracle cap."""
-    recurrence, series, objects, oracle = _paths(table)
+    recurrence, series, objects = _paths(table)
     if method == "recurrence":
         return [recurrence(n, k) for k in range(n + 1)]
     if method == "series":
@@ -147,7 +144,7 @@ def _count_row(table: str, n: int, method: str, args: argparse.Namespace) -> lis
         return [sum(1 for _ in objects(n, k)) for k in range(n + 1)]
     if n < 1:
         raise UsageError("needs n >= 1")
-    return _run_oracle(oracle, n, args).counts
+    return _run_oracle(table, n, args).counts
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -368,9 +365,9 @@ def _verify_oracle(n: int, args: argparse.Namespace) -> int:
     report = {"n": n}
     elapsed = []
     for table, part in (("faces", "cells"), ("flats", "flats")):
-        recurrence, _, _, oracle = _paths(table)
+        recurrence = _paths(table)[0]
         started = time.monotonic()
-        found = _run_oracle(oracle, n, args)
+        found = _run_oracle(table, n, args)
         elapsed.append(f"{part} {time.monotonic() - started:.2f}s")
         expected = [recurrence(n, k) for k in range(n + 1)]
         report[part] = {
@@ -386,6 +383,8 @@ def _verify_oracle(n: int, args: argparse.Namespace) -> int:
 
 
 def _verify_degenerate() -> int:
+    from .oracle import weightsystems as wsys  # here: no other check needs it
+
     def label(tag, n):
         return tag if n is None else f"{tag} n={n}"
 
@@ -393,14 +392,14 @@ def _verify_degenerate() -> int:
     failures = 0
     classical = (wsys.TAG_SO_ODD_V, wsys.TAG_SP_V, wsys.TAG_SP_LAMBDA, wsys.TAG_SP_BOTH)
     for tag, n in [(tag, 2) for tag in classical] + [(wsys.TAG_F4, None), (wsys.TAG_G2, None)]:
-        report = check_weights_proportional_to_roots(weight_system(tag, n))
+        report = wsys.check_weights_proportional_to_roots(wsys.weight_system(tag, n))
         status = "proportional" if report.ok else "NOT proportional"
         failures += 0 if report.ok else 1
         lines.append(
             f"{label(tag, n)}: {status}, certificates={len(report.certificates)}, "
             f"zero-weights={report.zero_weights}"
         )
-    gl = check_weights_proportional_to_roots(weight_system(wsys.TAG_GL, 2))
+    gl = wsys.check_weights_proportional_to_roots(wsys.weight_system(wsys.TAG_GL, 2))
     if gl.ok:
         lines.append(f"{wsys.TAG_GL} n=2: proportional, which should not happen")
         failures += 1
@@ -410,10 +409,10 @@ def _verify_degenerate() -> int:
             f"({len(gl.failures)} weights off the walls), as intended"
         )
 
-    simplex_row = [simplex_counts(2, k) for k in range(3)]
+    simplex_row = [wsys.simplex_counts(2, k) for k in range(3)]
     lines.append(f"simplex row n=2: {simplex_row}")
     for tag, n in ((wsys.TAG_SO_ODD_V, 2), (wsys.TAG_SP_BOTH, 2), (wsys.TAG_G2, None)):
-        counts = chamber_cell_counts(tag, n)
+        counts = wsys.chamber_cell_counts(tag, n)
         verdict = "matches" if counts == simplex_row else "MISMATCH"
         failures += 0 if counts == simplex_row else 1
         lines.append(f"{label(tag, n)} chamber cells: {counts} ({verdict})")

@@ -15,12 +15,11 @@ _ROWS_KEPT results, enough for a caller that walks one row entry by entry.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from math import comb
 from typing import Mapping
+
+from .record import Record
 
 _ROWS_KEPT = 4
 
@@ -201,13 +200,15 @@ H_DENOMINATOR: Poly2 = {
 }
 
 
-@dataclass(frozen=True)
-class BiSeries:
+class BiSeries(Record):
     """Truncated bivariate power series sum c(n,k) s^n t^k, exact coefficients."""
 
-    max_n: int
-    max_k: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("max_n", "max_k", "rows")
+
+    def __init__(self, max_n: int, max_k: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "max_k", max_k)
+        object.__setattr__(self, "rows", rows)
 
     def coeff(self, n: int, k: int) -> int:
         if 0 <= n <= self.max_n and 0 <= k <= self.max_k:
@@ -263,6 +264,9 @@ def series_product_coeff(A: Poly2, S: BiSeries, n: int, k: int) -> int:
 def load_errata() -> dict:
     """The versioned errata record: known typos in the published reference
     values, with every printed reading, the adopted value and the arbiter."""
+    import json
+    from importlib import resources
+
     text = resources.files("weylfan").joinpath("data/errata.json").read_text("utf-8")
     return json.loads(text)
 

@@ -7,7 +7,6 @@ counterparts live in the oracle subpackage and are only used to cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .chambers import Chamber, all_chambers, chamber_pi, ray_from_index
@@ -23,6 +22,7 @@ from .poset import (
     enumerate_ensembles,
     sort_key,
 )
+from .record import Record
 
 
 def hyperplane_rays(n: int, idx: WeightIndex) -> frozenset[PosetPoint]:
@@ -47,15 +47,17 @@ def rays_of(n: int, region: Iterable[WeightIndex]) -> frozenset[PosetPoint]:
     return rays
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(Record):
     """A face of the decomposition, recorded by its chain (one ray per level).
 
     The empty chain is the origin; a k-chain spans a k-dimensional cone.
     """
 
-    n: int
-    chain: Chain
+    __slots__ = ("n", "chain")
+
+    def __init__(self, n: int, chain: Chain) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "chain", chain)
 
     @property
     def dim(self) -> int:
@@ -67,7 +69,7 @@ class Face:
 
 def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
     # keyed by sort_key, which is injective, so a repeated point is kept once
-    # and no point is hashed or compared as a dataclass
+    # and no point is hashed or compared as a record
     pts = [p for _, p in sorted({sort_key(p): p for p in points}.items())]
     # sorted by level first, so the ends hold the lowest and highest levels
     if pts and (pts[0].level < 1 or pts[-1].level > n):
@@ -79,14 +81,16 @@ def face_from_chain(n: int, points: Iterable[PosetPoint]) -> Face:
     return Face(n, tuple(pts))
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(Record):
     """A flat: intersection of weight hyperplanes with the chamber cone,
     recorded by its ensemble of rays and a generating hyperplane set."""
 
-    n: int
-    ensemble: Ensemble
-    hyperplanes: tuple[WeightIndex, ...]
+    __slots__ = ("n", "ensemble", "hyperplanes")
+
+    def __init__(self, n: int, ensemble: Ensemble, hyperplanes: tuple[WeightIndex, ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ensemble", ensemble)
+        object.__setattr__(self, "hyperplanes", hyperplanes)
 
     @property
     def dim(self) -> int:

@@ -13,28 +13,27 @@ search found by dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ..record import Record
 from .linalg import rank_of
 
 WeightIndex = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(Record):
     """The cuts restricted to the cone {walls >= 0, ambient_eqs = 0} in Q^dim."""
 
-    dim: int
-    cuts: tuple[tuple, ...]
-    walls: tuple[tuple, ...]
-    ambient_eqs: tuple[tuple, ...] = ()
+    __slots__ = ("dim", "cuts", "walls", "ambient_eqs")
 
-    def __post_init__(self) -> None:
-        for name in ("cuts", "walls", "ambient_eqs"):
-            rows = tuple(tuple(row) for row in getattr(self, name))
-            if any(len(row) != self.dim for row in rows):
-                raise ValueError(f"every row of {name} needs {self.dim} entries")
+    def __init__(
+        self, dim: int, cuts: Iterable, walls: Iterable, ambient_eqs: Iterable = ()
+    ) -> None:
+        object.__setattr__(self, "dim", dim)
+        for name, given in (("cuts", cuts), ("walls", walls), ("ambient_eqs", ambient_eqs)):
+            rows = tuple(tuple(row) for row in given)
+            if any(len(row) != dim for row in rows):
+                raise ValueError(f"every row of {name} needs {dim} entries")
             object.__setattr__(self, name, rows)
 
     def count_row(self, dims: Iterable[int]) -> list[int]:
@@ -95,21 +94,21 @@ def gl_arrangement(n: int) -> Arrangement:
     return Arrangement(n, cuts, difference_walls(n))
 
 
-@dataclass(frozen=True)
-class SignCondition:
+class SignCondition(Record):
     """Sign data of one stratum of gl_arrangement(n), in its row order: the
     weight boxes row-major, then the walls."""
 
-    n: int
-    weight_signs: tuple[int, ...]
-    root_signs: tuple[int, ...]
+    __slots__ = ("n", "weight_signs", "root_signs")
 
-    def __post_init__(self) -> None:
-        if len(self.weight_signs) != self.n * (self.n + 1) // 2:
+    def __init__(self, n: int, weight_signs: tuple[int, ...], root_signs: tuple[int, ...]) -> None:
+        if len(weight_signs) != n * (n + 1) // 2:
             raise ValueError("wrong number of weight signs")
-        if len(self.root_signs) != max(self.n - 1, 0):
+        if len(root_signs) != max(n - 1, 0):
             raise ValueError("wrong number of root signs")
-        if any(s not in (-1, 0, 1) for s in self.weight_signs):
+        if any(s not in (-1, 0, 1) for s in weight_signs):
             raise ValueError("weight signs must be -1, 0 or 1")
-        if any(s not in (0, 1) for s in self.root_signs):
+        if any(s not in (0, 1) for s in root_signs):
             raise ValueError("root signs must be 0 or 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "weight_signs", weight_signs)
+        object.__setattr__(self, "root_signs", root_signs)

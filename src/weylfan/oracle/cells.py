@@ -44,11 +44,11 @@ Every LP of the search goes through `strict_feasible` or the flat closure's
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional
 
+from ..record import Record
 from .arrangement import Arrangement, SignCondition, check_rank, gl_arrangement
 from .flats import enumerate_generic_flats, flat_span
 from .linalg import canonical_hyperplane, dot, kernel_basis, lift, restrict
@@ -57,19 +57,25 @@ from .simplex import CertificateError, strict_feasible
 CELL_CAP = 8  # default largest rank of enumerate_cells
 
 
-@dataclass(frozen=True)
-class Cell:
-    condition: SignCondition
-    dim: int
-    witness: tuple[int, ...]
+class Cell(Record):
+    __slots__ = ("condition", "dim", "witness")
+
+    def __init__(self, condition: SignCondition, dim: int, witness: tuple[int, ...]) -> None:
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass
-class CellEnumeration:
-    n: int
-    counts: list[int]
-    cells: list[Cell]
-    stats: Counter = field(default_factory=Counter)
+class CellEnumeration(Record):
+    __slots__ = ("n", "counts", "cells", "stats")
+
+    def __init__(
+        self, n: int, counts: list[int], cells: list[Cell], stats: Optional[Counter] = None
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "stats", Counter() if stats is None else stats)
 
 
 def _split_rows(rows, signs):

@@ -46,9 +46,9 @@ takes the span of the whole cone from it.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ..record import Record
 from .arrangement import Arrangement, check_rank, gl_arrangement, weight_indices
 from .linalg import dot, kernel_basis, lift, restrict
 from .simplex import cone_positive
@@ -56,19 +56,29 @@ from .simplex import cone_positive
 FLAT_CAP = 8  # default largest rank of enumerate_flats_geometric
 
 
-@dataclass(frozen=True)
-class GeometricFlat:
-    n: int
-    tight: frozenset
-    dim: int
+class GeometricFlat(Record):
+    __slots__ = ("n", "tight", "dim")
+
+    def __init__(self, n: int, tight: frozenset, dim: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "tight", tight)
+        object.__setattr__(self, "dim", dim)
 
 
-@dataclass
-class FlatEnumeration:
-    n: int
-    counts: list[int]
-    flats: list[GeometricFlat]
-    stats: Counter = field(default_factory=Counter)
+class FlatEnumeration(Record):
+    __slots__ = ("n", "counts", "flats", "stats")
+
+    def __init__(
+        self,
+        n: int,
+        counts: list[int],
+        flats: list[GeometricFlat],
+        stats: Optional[Counter] = None,
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "flats", flats)
+        object.__setattr__(self, "stats", Counter() if stats is None else stats)
 
 
 def _span_within(arr: Arrangement, basis, rows, stats):

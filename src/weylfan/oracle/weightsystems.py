@@ -13,12 +13,12 @@ reference that the certificates check the weights against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb
 from typing import Optional
 
+from ..record import Record
 from .arrangement import Arrangement, difference_walls
 from .cells import enumerate_generic_cells
 from .linalg import canonical_hyperplane
@@ -42,15 +42,23 @@ TAGS = (
 )
 
 
-@dataclass(frozen=True)
-class WeightSystem:
+class WeightSystem(Record):
     """The weights and roots of a system, and its distinct weight
     hyperplanes on its dominant chamber."""
 
-    tag: str
-    weights: tuple[tuple, ...]
-    roots: tuple[tuple, ...]
-    arrangement: Arrangement
+    __slots__ = ("tag", "weights", "roots", "arrangement")
+
+    def __init__(
+        self,
+        tag: str,
+        weights: tuple[tuple, ...],
+        roots: tuple[tuple, ...],
+        arrangement: Arrangement,
+    ) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "arrangement", arrangement)
 
 
 def _signed_units(n: int, scale: int = 1) -> list[tuple[int, ...]]:
@@ -128,19 +136,29 @@ def weight_system(tag: str, n: Optional[int] = None) -> WeightSystem:
     return WeightSystem(tag, tuple(weights), tuple(roots), arr)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    weight: tuple
-    root: tuple
-    multiplier: Fraction
+class Certificate(Record):
+    __slots__ = ("weight", "root", "multiplier")
+
+    def __init__(self, weight: tuple, root: tuple, multiplier: Fraction) -> None:
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "multiplier", multiplier)
 
 
-@dataclass(frozen=True)
-class ProportionalityReport:
-    tag: str
-    certificates: tuple[Certificate, ...]
-    zero_weights: int
-    failures: tuple[tuple, ...]
+class ProportionalityReport(Record):
+    __slots__ = ("tag", "certificates", "zero_weights", "failures")
+
+    def __init__(
+        self,
+        tag: str,
+        certificates: tuple[Certificate, ...],
+        zero_weights: int,
+        failures: tuple[tuple, ...],
+    ) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "certificates", certificates)
+        object.__setattr__(self, "zero_weights", zero_weights)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def ok(self) -> bool:

@@ -15,22 +15,32 @@ listed from its bounds, never by filtering all of E_n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
+from .record import Record
 from .search import depth_first
 
 
-@dataclass(frozen=True)
-class PosetPoint:
+class PosetPoint(Record):
     """A point (a, b) of the quarter-plane N^2 under the componentwise order."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not int or type(self.b) is not int or self.a < 0 or self.b < 0:
-            raise ValueError(f"a point of N^2 needs nonnegative ints, got ({self.a!r}, {self.b!r})")
+    def __init__(self, a: int, b: int) -> None:
+        if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+            raise ValueError(f"a point of N^2 needs nonnegative ints, got ({a!r}, {b!r})")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    # written out rather than inherited: points are hashed and compared in
+    # bulk, and two slot reads beat the generic field getter
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     @property
     def level(self) -> int:
@@ -70,11 +80,14 @@ class _Infinity:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    # INF is above every point; any other operand is refused
     def __le__(self, other: object):
-        return other is INF
+        if other is INF:
+            return True
+        return False if isinstance(other, PosetPoint) else NotImplemented
 
     def __lt__(self, other: object):
-        return False
+        return False if other is INF or isinstance(other, PosetPoint) else NotImplemented
 
     def __repr__(self) -> str:
         return "INF"
@@ -102,28 +115,32 @@ def _points_between(n: int, lo: PosetPoint, hi: ExtendedPoint, floor: int = 0) -
     """The points p of E_n with lo <= p <= hi and level at least floor, in
     (level, b) order; hi may be INF.  Listed by their coordinates, not by
     filtering E_n."""
+    return [PosetPoint(a, b) for a, b in _coords_between(n, lo.a, lo.b, hi, floor)]
+
+
+def _coords_between(n: int, lo_a: int, lo_b: int, hi: ExtendedPoint, floor: int = 0):
+    """The (a, b) of _points_between(n, PosetPoint(lo_a, lo_b), hi, floor),
+    lazily and in its order, with no point built."""
     top, a_max, b_max = (n, n, n) if hi is INF else (min(hi.level, n), hi.a, hi.b)
-    return [
-        PosetPoint(lev - b, b)
-        for lev in range(max(lo.level, floor), top + 1)
-        for b in range(max(lo.b, lev - a_max), min(b_max, lev - lo.a) + 1)
-    ]
+    for lev in range(max(lo_a + lo_b, floor), top + 1):
+        for b in range(max(lo_b, lev - a_max), min(b_max, lev - lo_a) + 1):
+            yield lev - b, b
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """The closed interval [lo, hi] in Ehat_n; hi may be INF."""
 
-    lo: PosetPoint
-    hi: ExtendedPoint
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lo, PosetPoint):
+    def __init__(self, lo: PosetPoint, hi: ExtendedPoint) -> None:
+        if not isinstance(lo, PosetPoint):
             raise ValueError("interval lower end must be a finite point")
-        if not (isinstance(self.hi, PosetPoint) or self.hi is INF):
+        if not (isinstance(hi, PosetPoint) or hi is INF):
             raise ValueError("interval upper end must be a point or INF")
-        if not self.lo <= self.hi:
-            raise ValueError(f"empty interval: {self.lo} is not <= {self.hi}")
+        if not lo <= hi:
+            raise ValueError(f"empty interval: {lo} is not <= {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def __repr__(self) -> str:
         return f"[{self.lo},{self.hi}]"
@@ -226,7 +243,7 @@ def _check_presentation(n: int, intervals: tuple[Interval, ...]) -> None:
     for prev, nxt in zip(intervals, intervals[1:]):
         if prev.hi is INF:
             raise ValueError("only the last interval may reach INF")
-        if not prev.hi.shift(1, 1) <= nxt.lo:
+        if not (prev.hi.a < nxt.lo.a and prev.hi.b < nxt.lo.b):  # prev.hi + (1,1) <= nxt.lo
             raise ValueError(f"gap condition fails between {prev.hi} and {nxt.lo}")
     if intervals:
         last = intervals[-1].hi
@@ -234,8 +251,7 @@ def _check_presentation(n: int, intervals: tuple[Interval, ...]) -> None:
             raise ValueError(f"last interval ends at level {last.level}, needs < {n} or INF")
 
 
-@dataclass(frozen=True)
-class PseudoEnsemble:
+class PseudoEnsemble(Record):
     """A union of intervals of Ehat_n, realized in E_n (the origin counts
     when covered).
 
@@ -246,12 +262,13 @@ class PseudoEnsemble:
     pseudo-ensemble of rank -1.
     """
 
-    n: int
-    intervals: tuple[Interval, ...]
+    __slots__ = ("n", "intervals")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        _check_presentation(self.n, self.intervals)
+    def __init__(self, n: int, intervals: Iterable[Interval]) -> None:
+        intervals = tuple(intervals)
+        _check_presentation(n, intervals)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "intervals", intervals)
 
     @classmethod
     def from_points(cls, n: int, points: Iterable[PosetPoint]) -> "PseudoEnsemble":
@@ -273,7 +290,6 @@ class PseudoEnsemble:
         ) - 1
 
 
-@dataclass(frozen=True)
 class Ensemble(PseudoEnsemble):
     """A pseudo-ensemble whose first interval starts at the origin, realized
     in E*_n.
@@ -283,9 +299,11 @@ class Ensemble(PseudoEnsemble):
     corresponding flat and is *not* the number of intervals.
     """
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.intervals or self.intervals[0].lo != PosetPoint(0, 0):
+    __slots__ = ()
+
+    def __init__(self, n: int, intervals: Iterable[Interval]) -> None:
+        super().__init__(n, intervals)
+        if not self.intervals or self.intervals[0].lo.level != 0:
             raise ValueError(f"an ensemble starts at the origin, got {self.intervals}")
 
     @classmethod
@@ -310,28 +328,35 @@ def _interval_unions(n: int, target: int, floor: int, cls, first: Interval):
     built as cls(n, intervals).
 
     A node of the walk is a prefix of intervals, the number of levels it
-    covers, and the range of the next interval's start: [hi + (1,1), INF]
-    after a finite end hi, or None once the prefix is a complete union.
-    Prefixes that can be neither completed nor extended are not visited.
-    Candidate ends are scanned in (level, b) order with INF last, so the
-    order is reproducible.
+    covers, and the range of the next interval's start, as the arguments of
+    _coords_between: [hi + (1,1), INF] after a finite end hi, or None once
+    the prefix is a complete union.  Prefixes that can be neither completed
+    nor extended are not visited.  Candidate starts and ends are scanned by
+    their ints in (level, b) order, with INF last, so the order is
+    reproducible, and a point is built only for a start or end that is kept.
     """
 
     def children(node):
         done, levels, starts = node
         if starts is None:
             return
-        for lo in _points_between(n, starts.lo, starts.hi):
-            base = levels - max(lo.level, floor) + 1
-            for hi in _points_between(n, lo, INF):
-                lv = base + hi.level
-                if (lv == target and hi.level < n) or (lv < target and hi.level + 2 <= n):
-                    after = Interval(hi.shift(1, 1), INF) if lv < target else None
-                    yield done + (Interval(lo, hi),), lv, after
+        for a, b in _coords_between(n, *starts):
+            lo = None
+            base = levels - max(a + b, floor) + 1
+            # an end at level lev leaves the prefix covering base + lev levels
+            for lev in range(a + b, n + 1):
+                lv = base + lev
+                if (lv == target and lev < n) or (lv < target and lev + 2 <= n):
+                    if lo is None:
+                        lo = PosetPoint(a, b)
+                    for hb in range(b, lev - a + 1):
+                        after = (lev - hb + 1, hb + 1, INF) if lv < target else None
+                        yield done + (Interval(lo, PosetPoint(lev - hb, hb)),), lv, after
             if base + n == target:
-                yield done + (Interval(lo, INF),), target, None
+                yield done + (Interval(PosetPoint(a, b) if lo is None else lo, INF),), target, None
 
-    for done, _, starts in depth_first(((), 0, first), children):
+    root = ((), 0, (first.lo.a, first.lo.b, first.hi))
+    for done, _, starts in depth_first(root, children):
         if starts is None:
             yield cls(n, done)
 

@@ -21,16 +21,15 @@ from weylfan.chambers import (
     ray_from_index,
     tableau_validate,
 )
-from weylfan.oracle import (
-    check_weights_proportional_to_roots,
+from weylfan.oracle import weightsystems as wsys
+from weylfan.oracle.cells import enumerate_cells, rays_geometric
+from weylfan.oracle.flats import enumerate_flats_geometric
+from weylfan.oracle.weightsystems import (
     chamber_cell_counts,
-    enumerate_cells,
-    enumerate_flats_geometric,
-    rays_geometric,
+    check_weights_proportional_to_roots,
     simplex_counts,
     weight_system,
 )
-from weylfan.oracle import weightsystems as wsys
 from weylfan.oracle.linalg import dot, rank_of
 from weylfan.poset import (
     INF,

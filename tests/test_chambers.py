@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from weylfan import chambers as ch
-from weylfan.oracle import SignCondition
+from weylfan.oracle.arrangement import SignCondition
 from weylfan.poset import PosetPoint, all_points, is_chain
 
 

@@ -495,14 +495,50 @@ def test_repeat_runs_are_byte_identical(capsys):
     assert first == second
 
 
-def test_console_entry_point():
-    # the child imports the package from where this process found it
+def _child(*argv):
+    """Run a fresh interpreter that imports the package from where this
+    process found it."""
     root = str(Path(weylfan.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "weylfan.cli", "count", "--faces", "-n", "3"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = _child("-m", "weylfan.cli", "count", "--faces", "-n", "3")
     assert proc.returncode == 0 and proc.stdout == "1 9 16 8\n"
+
+
+START_UP_PROBE = """
+import contextlib, io, json, sys
+import weylfan.cli as cli
+
+HEAVY = ("dataclasses", "fractions", "weylfan.oracle.cells", "weylfan.oracle.flats",
+         "weylfan.oracle.simplex", "weylfan.oracle.weightsystems")
+cli.build_parser()
+report = [["set-up", 0, [m for m in HEAVY if m in sys.modules]]]
+for argv in (["count", "--faces", "-n", "5"], ["enumerate", "flats", "-n", "3"],
+             ["graph", "-n", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    report.append([" ".join(argv), code, [m for m in HEAVY if m in sys.modules]])
+print(json.dumps(report))
+"""
+
+
+def test_commands_without_an_oracle_load_no_search():
+    # a fresh process pays for every module it imports: the commands that
+    # run no oracle search import none, nor dataclasses or fractions
+    proc = _child("-c", START_UP_PROBE)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == [
+        ["set-up", 0, []],
+        ["count --faces -n 5", 0, []],
+        ["enumerate flats -n 3", 0, []],
+        ["graph -n 4", 0, []],
+    ]

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -17,27 +16,26 @@ import weylfan.oracle
 from weylfan import counting as ct
 from weylfan import incidence as inc
 from weylfan.chambers import ray_from_index
-from weylfan.oracle import (
-    Arrangement,
-    CapExceeded,
-    SignCondition,
-    adjacency_from_cells,
-    cell_feasible,
-    chamber_cell_counts,
-    check_weights_proportional_to_roots,
-    enumerate_cells,
-    enumerate_flats_geometric,
-    enumerate_generic_flats,
-    gl_arrangement,
-    rays_geometric,
-    simplex_counts,
-    weight_system,
-)
 from weylfan.oracle import weightsystems as wsys
 from weylfan.oracle import arrangement, simplex
 from weylfan.oracle import cells as cell_oracle
 from weylfan.oracle import flats as flat_oracle
-from weylfan.oracle.cells import enumerate_generic_cells
+from weylfan.oracle.arrangement import Arrangement, CapExceeded, SignCondition, gl_arrangement
+from weylfan.oracle.cells import (
+    Cell,
+    adjacency_from_cells,
+    cell_feasible,
+    enumerate_cells,
+    enumerate_generic_cells,
+    rays_geometric,
+)
+from weylfan.oracle.flats import enumerate_flats_geometric, enumerate_generic_flats
+from weylfan.oracle.weightsystems import (
+    chamber_cell_counts,
+    check_weights_proportional_to_roots,
+    simplex_counts,
+    weight_system,
+)
 from weylfan.oracle.linalg import dot, integer_row, kernel_basis, rank_of
 from weylfan.oracle.simplex import (
     CertificateError,
@@ -653,7 +651,8 @@ def test_rays_geometric_rejects_a_non_lattice_witness():
     cells = enumerate_cells(2)
     pos = next(i for i, c in enumerate(cells.cells) if c.dim == 1)
     bad = (Fraction(1), Fraction(1, 2))
-    cells.cells[pos] = dataclasses.replace(cells.cells[pos], witness=bad)
+    cell = cells.cells[pos]
+    cells.cells[pos] = Cell(cell.condition, cell.dim, bad)
     with pytest.raises(CertificateError):
         rays_geometric(cells)
 

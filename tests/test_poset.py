@@ -65,6 +65,15 @@ def test_order_axioms_seeded():
     # the order tests INF by identity, so every copy of INF must be INF
     assert copy.deepcopy(INF) is INF and pickle.loads(pickle.dumps(INF)) is INF
     assert copy.deepcopy(Interval(P(1, 0), INF)).hi is INF
+    # INF is compared with points and INF only; any other operand is refused
+    # in every comparison and in either place
+    comparisons = (
+        lambda x: INF <= x, lambda x: INF < x, lambda x: INF >= x, lambda x: INF > x,
+        lambda x: x <= INF, lambda x: x < INF, lambda x: x >= INF, lambda x: x > INF,
+    )
+    for foreign, compare in itertools.product((3, None, (1, 0)), comparisons):
+        with pytest.raises(TypeError):
+            compare(foreign)
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 """The shared depth-first walk, the rule that no function of the package
 recurses (every tree is walked by search.depth_first), the rule that only
-the CLI renders output, and the audit that every public name of the package
-has a caller."""
+the CLI renders output, the rule that no module imports dataclasses, and
+the audit that every public name of the package has a caller."""
 
 import ast
 import importlib
@@ -125,6 +125,26 @@ def test_only_the_cli_renders_output():
                 for name in names
                 if name in ("print", "json.dumps", "sys.stdout")
                 or name.split(".")[0] == "csv"
+            ]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # records derive from record.Record: importing dataclasses and defining
+    # a dataclass both cost every process start-up time
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] == "dataclasses"
             ]
     assert found == []
 
