@@ -43,16 +43,14 @@ ENUMERATION_BOUND = 10  # largest rank where count --method enumerate walks obje
 GRAPH_BOUND = 12
 RECORD_LIMIT = 100000
 
-# the computing paths of count, in the order --method all runs them
-_METHODS = ("recurrence", "series", "closed-form", "enumerate", "oracle")
-
-_PROVENANCE_BY_METHOD = {
+# the computing paths of count and the provenance each prints, in the order
+# --method all runs them
+_METHODS = {
     "recurrence": "recurrence",
     "series": "rational-expansion",
     "closed-form": "closed-form",
     "enumerate": "enumeration",
     "oracle": "oracle",
-    "all": "recurrence",
 }
 
 
@@ -177,7 +175,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         row = _count_row(table, n, args.method, args)
 
-    provenance = _PROVENANCE_BY_METHOD[args.method]
+    provenance = _METHODS["recurrence" if args.method == "all" else args.method]
     ks = range(n + 1) if args.k is None else [args.k]
     if args.format == "text":
         text = " ".join(str(row[k]) for k in ks) + "\n"

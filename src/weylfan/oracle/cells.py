@@ -12,16 +12,16 @@ without its memory saving.
   every row that vanishes there is 0 in every cell.  Modulo the lineality
   space, the common kernel of every row on that span, the cone is
   full-dimensional and pointed in Q^d.  Rows that are multiples of one
-  another give one hyperplane, and a chamber is one sign per hyperplane,
-  the walls' fixed.
+  another give one hyperplane.  A chamber is the bit mask of the rows > 0
+  on it, and the walls fix their own rows' bits.
 * The first chamber takes at most one `strict_feasible` per cut to find, and
   one per hyperplane decides its facets.
-* Across a cut facet o lies the chamber with o's sign flipped, with no LP.
-  A simplicial parent, with ray v_j opposite its facet j, guesses the
-  neighbour's facets by a ridge pivot: o stays, and for each j != o the
-  rows that vanish on every ray but v_j and v_o turn about that ridge; the
-  one with the largest (h . v_o) / (h . v_j) is the first met past o.  The
-  new ray spans the kernel of the guessed facets other than o.
+* Across a cut facet o lies the chamber with o's rows flipped, one `^` of
+  masks and no LP.  A simplicial parent, with ray v_j opposite its facet j,
+  guesses the neighbour's facets by a ridge pivot: o stays, and for each
+  j != o the rows that vanish on every ray but v_j and v_o turn about that
+  ridge; the one with the largest (h . v_o) / (h . v_j) is the first met
+  past o.  The new ray spans the kernel of the guessed facets other than o.
 * A guess stands only on an exact certificate: each facet is positive on
   its own ray and zero on the others, and every signed row is >= 0 on every
   ray.  Then the chamber's closure is the cone of the rays.  A guess that
@@ -30,12 +30,17 @@ without its memory saving.
   rays.  Face K has the integer witness sum_{i in K} v_i and dimension |K|
   plus that of the lineality space.  The rows vanishing on it are those
   vanishing on every ray of K, one `&` of row bit masks per subset, and they
-  with the chamber's signs give the face's sign vector, the deduplication
-  key.  A new cell's signs are recomputed from its witness on every
-  original row and must equal the key.
+  with the chamber's mask give the face's sign vector.
 * A chamber with more than d facets has its faces from the flat search over
   its facet rows as both cuts and walls (Ziegler, Lectures on Polytopes,
   Lecture 2), and one `strict_feasible` per face for a witness.
+* Each cell is read once, by its owner chamber (the owner rule of reverse
+  search; Sleumer, "Output-sensitive cell enumeration in hyperplane
+  arrangements", SWAT 1998).  With sigma0 the first chamber, sigma owns the
+  face whose vanishing rows are Z when `(sigma ^ sigma0) & Z == 0`.  Just
+  one chamber does, and its closure holds the face: that of w + e*c, for w
+  on the face, c in sigma0 and a small e > 0.  The cell's witness must give
+  back the signs it was read with on every original row.
 
 Every LP of the search goes through `strict_feasible` or the flat closure's
 `cone_positive`, and its stats count them.
@@ -136,7 +141,8 @@ class _Fan:
     One hyperplane stands for each class of parallel rows: its primitive
     normal, the bit mask of its member rows, those of them that are positive
     multiples of the normal (`plus`), and the side a wall fixes.  A chamber
-    is one sign per hyperplane.
+    is the bit mask of the rows > 0 on it; it lies on the positive side of
+    hyperplane h when its mask meets h's members in plus[h].
     """
 
     def __init__(self, arr: Arrangement, stats: Counter):
@@ -171,14 +177,9 @@ class _Fan:
                 self.fixed[h] = side  # a wall keeps the cone on its positive side
 
     def signed(self, h, sigma):
-        return self.normals[h] if sigma[h] > 0 else tuple(-v for v in self.normals[h])
-
-    def positive_rows(self, sigma) -> int:
-        """The rows > 0 on the open chamber sigma."""
-        mask = 0
-        for h, s in enumerate(sigma):
-            mask |= self.plus[h] if s > 0 else self.members[h] & ~self.plus[h]
-        return mask
+        """The normal of hyperplane h, turned to be > 0 on chamber sigma."""
+        normal = self.normals[h]
+        return normal if sigma & self.members[h] == self.plus[h] else tuple(-v for v in normal)
 
     def ray(self, vector) -> _Ray:
         values = [dot(row, vector) for row in self.fan_rows]
@@ -190,35 +191,35 @@ class _Fan:
                 positive |= 1 << r
         return _Ray(vector, values, zero, positive)
 
-    def certified(self, sigma_rows, facets, rays) -> bool:
+    def certified(self, sigma, facets, rays) -> bool:
         """Whether the rays are those of a simplicial chamber with these
         facets, facet i opposite ray i: its closure is then their cone."""
         for i, v in enumerate(rays):
-            if v is None or v.positive != sigma_rows & ~v.zero:
+            if v is None or v.positive != sigma & ~v.zero:
                 return False  # some signed row is < 0 on v
             for j, f in enumerate(facets):
                 if (self.members[f] & v.zero == 0) != (i == j):
                     return False
         return True
 
-    def first_chamber(self):
-        """A point of the open cone off every cut hyperplane, read as signs;
-        a witness that lies on the next hyperplane costs one LP."""
-        sigma = list(self.fixed)
-        strict = [self.signed(h, sigma) for h, s in enumerate(sigma) if s is not None]
-        point = None
-        for h, s in enumerate(self.fixed):
-            if s is not None:
-                continue
-            side = 0 if point is None else dot(self.normals[h], point)
-            if side == 0:
-                point = strict_feasible(
-                    [], strict + [self.normals[h]], [], self.d, stats=self.stats
-                )
-                side = -1 if point is None else 1  # the open set meets a side of h
-            sigma[h] = 1 if side > 0 else -1
+    def first_chamber(self) -> int:
+        """A point of the open cone off every cut hyperplane, read as a row
+        mask; a witness that lies on the next hyperplane costs one LP.  The
+        walls come first among the strict rows, then each cut hyperplane as
+        it is decided."""
+        sigma, strict, point = 0, [], None
+        for h in sorted(range(len(self.normals)), key=lambda h: self.fixed[h] is None):
+            side = self.fixed[h]
+            if side is None:
+                side = 0 if point is None else dot(self.normals[h], point)
+                if side == 0:
+                    point = strict_feasible(
+                        [], strict + [self.normals[h]], [], self.d, stats=self.stats
+                    )
+                    side = -1 if point is None else 1  # the open set meets a side of h
+            sigma |= self.plus[h] if side > 0 else self.members[h] ^ self.plus[h]
             strict.append(self.signed(h, sigma))
-        return tuple(sigma)
+        return sigma
 
     def lp_facets(self, sigma):
         """The facets of chamber sigma, one LP per hyperplane, and its rays
@@ -239,8 +240,8 @@ class _Fan:
         for f in facets:
             v = _ray([self.normals[g] for g in facets if g != f], rows[f], self.d)
             rays.append(None if v is None else self.ray(v))
-        if not self.certified(self.positive_rows(sigma), facets, rays):
-            raise CertificateError(f"the rays of chamber {sigma} fail their check")
+        if not self.certified(sigma, facets, rays):
+            raise CertificateError(f"the rays of chamber {sigma:#x} fail their check")
         return facets, rays
 
     def pivot(self, sigma, facets, rays, p):
@@ -265,26 +266,24 @@ class _Fan:
             return None
         return guess, [self.ray(new) if j == p else rays[j] for j in range(self.d)]
 
-    def chambers(self):
-        """Every chamber once, breadth first from the first one: its signs,
-        its positive rows, its facets, and its rays if it is simplicial."""
-        first = self.first_chamber()
+    def chambers(self, first):
+        """Every chamber once, breadth first from the first one: its row
+        mask, its facets, and its rays if it is simplicial."""
         seen = {first}
         queue = deque([(first, None)])
         while queue:
             sigma, guess = queue.popleft()
             self.stats["chambers"] += 1
-            sigma_rows = self.positive_rows(sigma)
-            if guess is not None and self.certified(sigma_rows, *guess):
+            if guess is not None and self.certified(sigma, *guess):
                 self.stats["witness_hits"] += 1
                 facets, rays = guess
             else:
                 facets, rays = self.lp_facets(sigma)
-            yield sigma, sigma_rows, facets, rays
+            yield sigma, facets, rays
             for p, o in enumerate(facets):
                 if self.fixed[o] is not None:
                     continue  # a wall bounds the cone
-                nxt = sigma[:o] + (-sigma[o],) + sigma[o + 1:]
+                nxt = sigma ^ self.members[o]
                 if nxt not in seen:
                     seen.add(nxt)
                     guess = None if rays is None else self.pivot(sigma, facets, rays, p)
@@ -302,32 +301,30 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[Counter] = None
         stats = Counter()
     fan = _Fan(arr, stats)
     rows, d = fan.rows, fan.d
-    found = {}  # (zero rows, positive rows) -> (signs, dim, witness)
+    owned = []  # (signs, dim, witness) of each cell, appended by its owner chamber
 
-    def add_cell(key, point, dim):
+    def add_cell(zero, positive, point, dim):
         witness = tuple(lift(point, fan.basis)) if d else (0,) * arr.dim
         values = [sum(map(mul, row, witness)) for row in rows]
         signs = tuple((v > 0) - (v < 0) for v in values)
-        zero, positive = key
         if signs != tuple(
             0 if zero >> r & 1 else 1 if positive >> r & 1 else -1
             for r in range(len(rows))
         ):
             raise CertificateError(f"witness {witness} does not realize its face")
-        found[key] = (signs, dim + fan.lineality, witness)
+        owned.append((signs, dim + fan.lineality, witness))
 
-    def read_simplicial(sigma_rows, rays):
+    def read_simplicial(sigma, moved, rays):
         zeros = [fan.all_rows]  # the rows vanishing on the face of each ray subset
         for v in rays:
             zeros += [z & v.zero for z in zeros]
         for subset, zero in enumerate(zeros):
-            key = (zero, sigma_rows & ~zero)
-            if key not in found:
+            if zero & moved == 0:
                 chosen = [v.vector for i, v in enumerate(rays) if subset >> i & 1]
                 point = [sum(col) for col in zip(*chosen)] if chosen else [0] * d
-                add_cell(key, point, subset.bit_count())
+                add_cell(zero, sigma & ~zero, point, subset.bit_count())
 
-    def read_faces(sigma, facets):
+    def read_faces(sigma, moved, facets):
         facet_rows = [fan.signed(f, sigma) for f in facets]
         flat_stats = Counter()
         faces, _ = enumerate_generic_flats(
@@ -341,16 +338,18 @@ def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[Counter] = None
             if point is None:
                 raise CertificateError(f"face {sorted(tight)} of a chamber has no point")
             v = fan.ray(point)
-            if (v.zero, v.positive) not in found:
-                add_cell((v.zero, v.positive), v.vector, dim)
+            if v.zero & moved == 0:
+                add_cell(v.zero, v.positive, v.vector, dim)
 
-    for sigma, sigma_rows, facets, rays in fan.chambers():
+    first = fan.first_chamber()
+    for sigma, facets, rays in fan.chambers(first):
+        moved = sigma ^ first  # sigma owns the faces on which none of these rows vanish
         if rays is None:
-            read_faces(sigma, facets)
+            read_faces(sigma, moved, facets)
         else:
-            read_simplicial(sigma_rows, rays)
+            read_simplicial(sigma, moved, rays)
     n_cuts = len(arr.cuts)
-    cells = [(s[:n_cuts], s[n_cuts:], dim, w) for s, dim, w in sorted(found.values())]
+    cells = [(s[:n_cuts], s[n_cuts:], dim, w) for s, dim, w in sorted(owned)]
     return cells, arr.count_row(dim for _, _, dim, _ in cells)
 
 

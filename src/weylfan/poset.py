@@ -72,13 +72,9 @@ class PosetPoint(Record):
 class _Infinity:
     """The adjoined maximum of Ehat_n.  A single instance, INF, exists."""
 
-    _instance = None
-
-    # copy.deepcopy and pickle rebuild INF through __new__, so `is INF` holds
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    # copy, deepcopy and pickle hand back the module's INF, so `is INF` holds
+    def __reduce__(self) -> str:
+        return "INF"
 
     # INF is above every point; any other operand is refused
     def __le__(self, other: object):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import record_stdout
 import weylfan
 from weylfan import counting as ct
 from weylfan.cli import _jsonline, main
@@ -493,6 +494,15 @@ def test_repeat_runs_are_byte_identical(capsys):
     _, first, _ = run(capsys, "enumerate", "flats", "-n", "3")
     _, second, _ = run(capsys, "enumerate", "flats", "-n", "3")
     assert first == second
+
+
+def test_stdout_matches_the_golden_file():
+    # every command of the recorded matrix writes the same bytes to stdout,
+    # the same stderr up to its clock, and exits with the same code
+    golden = json.loads(record_stdout.GOLDEN.read_text(encoding="utf-8"))
+    assert len(golden) >= 600
+    moved = [command for command, want in golden.items() if record_stdout.outcome(command) != want]
+    assert moved == []
 
 
 def _child(*argv):

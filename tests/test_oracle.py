@@ -768,10 +768,12 @@ _DEGENERATE = {
 }
 
 
+# gl_n at n = 5 and 6 checks that each cell is read once, by its owner
+# chamber, on walks of 32 and 64 chambers; the closure test skips them
 @pytest.mark.parametrize(
     "tag, n",
-    _ARRANGEMENTS + [(arr, None) for arr in _DEGENERATE.values()],
-    ids=_ARRANGEMENT_IDS + list(_DEGENERATE),
+    _ARRANGEMENTS + [(None, 5), (None, 6)] + [(arr, None) for arr in _DEGENERATE.values()],
+    ids=_ARRANGEMENT_IDS + ["gl_arrangement-5", "gl_arrangement-6"] + list(_DEGENERATE),
 )
 def test_flats_match_the_cells_of_the_same_arrangement(tag, n):
     if isinstance(tag, Arrangement):

@@ -112,3 +112,14 @@ def test_search_results_get_a_fresh_counter_each(cls):
         hash(first)  # the counts are a list
     twin = copy.deepcopy(first)
     assert twin == first and twin.stats is not first.stats
+
+
+def test_copies_of_inf_are_inf():
+    # the order tests INF by identity; __reduce__ names the module's INF, so
+    # copy and every pickle protocol hand it back, alone or inside a record
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    assert copy.copy(INF) is INF and copy.deepcopy(INF) is INF
+    assert all(pickle.loads(pickle.dumps(INF, protocol=p)) is INF for p in protocols)
+    interval = Interval(P(1, 0), INF)
+    assert all(pickle.loads(pickle.dumps(interval, protocol=p)).hi is INF for p in protocols)
+    assert repr(INF) == "INF"
