@@ -37,7 +37,7 @@ from . import counting as ct
 from . import incidence as inc
 from .chambers import all_chambers, extreme_rays, ray_from_index
 from .oracle.arrangement import CapExceeded
-from .poset import INF, all_points, enumerate_chains, enumerate_ensembles
+from .poset import INF, _coords_between, all_points, enumerate_chains, enumerate_ensembles
 
 ENUMERATION_BOUND = 10  # largest rank where count --method enumerate walks objects
 GRAPH_BOUND = 12
@@ -247,7 +247,12 @@ def _flat_lines(n, dims, fmt):
                         [_point_pair(iv.lo), None if iv.hi is INF else _point_pair(iv.hi)]
                         for iv in intervals
                     ],
-                    "points": [_point_pair(p) for p in flat.rays()],
+                    # each interval lies above the last, so the points are in (level, b) order
+                    "points": [
+                        [a, b]
+                        for iv in intervals
+                        for a, b in _coords_between(n, iv.lo.a, iv.lo.b, iv.hi, 1)
+                    ],
                     "hyperplanes": [list(idx) for idx in flat.hyperplanes],
                 })
             else:

@@ -240,12 +240,10 @@ def expand_rational(P: Poly2, Q: Poly2, max_n: int, max_k: int) -> BiSeries:
     return BiSeries(max_n, max_k, tuple(tuple(r) for r in rows))
 
 
-@lru_cache(maxsize=_ROWS_KEPT)
 def g_series(max_n: int) -> BiSeries:
     return expand_rational(G_NUMERATOR, G_DENOMINATOR, max_n, max_n)
 
 
-@lru_cache(maxsize=_ROWS_KEPT)
 def h_series(max_n: int) -> BiSeries:
     return expand_rational(H_NUMERATOR, H_DENOMINATOR, max_n, max_n)
 
@@ -271,9 +269,6 @@ def load_errata() -> dict:
     return json.loads(text)
 
 
-def errata_entries(status: str | None = None) -> list[dict]:
-    entries = load_errata()["entries"]
-    if status is None:
-        return list(entries)
-    return [e for e in entries if e["status"] == status]
+def errata_entries() -> list[dict]:
+    return list(load_errata()["entries"])
 

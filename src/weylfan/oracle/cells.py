@@ -42,8 +42,9 @@ without its memory saving.
   on the face, c in sigma0 and a small e > 0.  The cell's witness must give
   back the signs it was read with on every original row.
 
-Every LP of the search goes through `strict_feasible` or the flat closure's
-`cone_positive`, and its stats count them.
+`owned_cells` yields each cell so, in walk order; `enumerate_generic_cells`
+sorts the stream, `weightsystems.chamber_cell_counts` tallies it.  Each LP,
+the fallback's too, is a `strict_feasible` or `cone_positive` in its stats.
 """
 
 from __future__ import annotations
@@ -266,6 +267,33 @@ class _Fan:
             return None
         return guess, [self.ray(new) if j == p else rays[j] for j in range(self.d)]
 
+    def owned_faces(self, sigma, moved, facets, rays):
+        """(zero rows, positive rows, point, dim) of each face that chamber
+        sigma owns, moved being the rows where it differs from the first: the
+        cones on subsets of its rays, or else the flats of its facet rows."""
+        if rays is not None:
+            zeros = [self.all_rows]  # the rows vanishing on the face of each ray subset
+            for v in rays:
+                zeros += [z & v.zero for z in zeros]
+            for subset, zero in enumerate(zeros):
+                if zero & moved == 0:
+                    chosen = [v.vector for i, v in enumerate(rays) if subset >> i & 1]
+                    point = [sum(col) for col in zip(*chosen)] if chosen else [0] * self.d
+                    yield zero, sigma & ~zero, point, subset.bit_count()
+            return
+        facet_rows = [self.signed(f, sigma) for f in facets]
+        faces, _ = enumerate_generic_flats(
+            Arrangement(self.d, facet_rows, facet_rows), stats=self.stats
+        )
+        for tight, dim in faces:
+            signs = [0 if i in tight else 1 for i in range(len(facet_rows))]
+            point = strict_feasible(*_split_rows(facet_rows, signs), [], self.d, stats=self.stats)
+            if point is None:
+                raise CertificateError(f"face {sorted(tight)} of a chamber has no point")
+            v = self.ray(point)
+            if v.zero & moved == 0:
+                yield v.zero, v.positive, v.vector, dim
+
     def chambers(self, first):
         """Every chamber once, breadth first from the first one: its row
         mask, its facets, and its rays if it is simplicial."""
@@ -290,65 +318,33 @@ class _Fan:
                     queue.append((nxt, guess))
 
 
+def owned_cells(arr: Arrangement, stats: Counter):
+    """Each cell of an arrangement once, in walk order, as (signs of arr.cuts
+    then arr.walls, dim, witness), rechecked at the witness on every row."""
+    fan = _Fan(arr, stats)
+    first = fan.first_chamber()
+    for sigma, facets, rays in fan.chambers(first):
+        for zero, positive, point, dim in fan.owned_faces(sigma, sigma ^ first, facets, rays):
+            witness = tuple(lift(point, fan.basis)) if fan.d else (0,) * arr.dim
+            values = [sum(map(mul, row, witness)) for row in fan.rows]
+            signs = tuple((v > 0) - (v < 0) for v in values)
+            if signs != tuple(
+                0 if zero >> r & 1 else 1 if positive >> r & 1 else -1
+                for r in range(len(fan.rows))
+            ):
+                raise CertificateError(f"witness {witness} does not realize its face")
+            yield signs, dim + fan.lineality, witness
+
+
 def enumerate_generic_cells(arr: Arrangement, *, stats: Optional[Counter] = None):
-    """All feasible sign vectors of an arrangement's cuts and walls.
+    """The cells of an arrangement, sorted from the stream of owned cells.
 
     Returns (cells, counts) where each cell is (cut_signs, facet_signs,
     cell_dim, witness), sorted by sign vector: facet_signs are the signs of
     arr.walls, and the witness is an int point.
     """
-    if stats is None:
-        stats = Counter()
-    fan = _Fan(arr, stats)
-    rows, d = fan.rows, fan.d
-    owned = []  # (signs, dim, witness) of each cell, appended by its owner chamber
-
-    def add_cell(zero, positive, point, dim):
-        witness = tuple(lift(point, fan.basis)) if d else (0,) * arr.dim
-        values = [sum(map(mul, row, witness)) for row in rows]
-        signs = tuple((v > 0) - (v < 0) for v in values)
-        if signs != tuple(
-            0 if zero >> r & 1 else 1 if positive >> r & 1 else -1
-            for r in range(len(rows))
-        ):
-            raise CertificateError(f"witness {witness} does not realize its face")
-        owned.append((signs, dim + fan.lineality, witness))
-
-    def read_simplicial(sigma, moved, rays):
-        zeros = [fan.all_rows]  # the rows vanishing on the face of each ray subset
-        for v in rays:
-            zeros += [z & v.zero for z in zeros]
-        for subset, zero in enumerate(zeros):
-            if zero & moved == 0:
-                chosen = [v.vector for i, v in enumerate(rays) if subset >> i & 1]
-                point = [sum(col) for col in zip(*chosen)] if chosen else [0] * d
-                add_cell(zero, sigma & ~zero, point, subset.bit_count())
-
-    def read_faces(sigma, moved, facets):
-        facet_rows = [fan.signed(f, sigma) for f in facets]
-        flat_stats = Counter()
-        faces, _ = enumerate_generic_flats(
-            Arrangement(d, facet_rows, facet_rows), stats=flat_stats
-        )
-        stats["lp_calls"] += flat_stats["lp_calls"]
-        stats["pivots"] += flat_stats["pivots"]
-        for tight, dim in faces:
-            signs = [0 if i in tight else 1 for i in range(len(facet_rows))]
-            point = strict_feasible(*_split_rows(facet_rows, signs), [], d, stats=stats)
-            if point is None:
-                raise CertificateError(f"face {sorted(tight)} of a chamber has no point")
-            v = fan.ray(point)
-            if v.zero & moved == 0:
-                add_cell(v.zero, v.positive, v.vector, dim)
-
-    first = fan.first_chamber()
-    for sigma, facets, rays in fan.chambers(first):
-        moved = sigma ^ first  # sigma owns the faces on which none of these rows vanish
-        if rays is None:
-            read_faces(sigma, moved, facets)
-        else:
-            read_simplicial(sigma, moved, rays)
     n_cuts = len(arr.cuts)
+    owned = owned_cells(arr, Counter() if stats is None else stats)
     cells = [(s[:n_cuts], s[n_cuts:], dim, w) for s, dim, w in sorted(owned)]
     return cells, arr.count_row(dim for _, _, dim, _ in cells)
 

@@ -133,7 +133,8 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None
     """Every flat of an arrangement, deduplicated by tight closure.
 
     Returns (flats, counts) where each flat is (tight cut positions, dim),
-    ordered by dimension, then size, then positions.
+    ordered by dimension, then size, then positions.  Adds its LPs, pivots
+    and closures to stats; the `flats` count is enumerate_flats_geometric's.
     """
     if stats is None:
         stats = Counter()
@@ -142,6 +143,7 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None
     closed = _tight(arr, span, root)
     spans = {closed: span}  # closed tight set -> a basis of its flat's span
     cache = {root: (closed, len(span))}  # cut set -> its closure and dimension
+    stats["closures"] += 1
     queue = deque(spans)
     while queue:
         current = queue.popleft()
@@ -155,6 +157,7 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None
                 span = _span_within(arr, parent, [arr.cuts[u]], stats)
                 closed = _tight(arr, span, T)
                 cache[T] = closed, len(span)
+                stats["closures"] += 1
                 if closed not in spans:
                     spans[closed] = span
                     queue.append(closed)
@@ -167,8 +170,6 @@ def enumerate_generic_flats(arr: Arrangement, *, stats: Optional[Counter] = None
         ((tight, len(span)) for tight, span in spans.items()),
         key=lambda kv: (kv[1], len(kv[0]), sorted(kv[0])),
     )
-    stats["flats"] = len(flats)
-    stats["closures"] = len(cache)
     return flats, arr.count_row(dim for _, dim in flats)
 
 
@@ -187,4 +188,5 @@ def enumerate_flats_geometric(n: int, *, cap: int = FLAT_CAP) -> FlatEnumeration
         GeometricFlat(n, frozenset(boxes[c] for c in tight), dim)
         for tight, dim in raw
     ]
+    stats["flats"] = len(flats)
     return FlatEnumeration(n, counts, flats, stats)

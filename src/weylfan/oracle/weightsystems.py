@@ -13,6 +13,7 @@ reference that the certificates check the weights against.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -20,7 +21,7 @@ from typing import Optional
 
 from ..record import Record
 from .arrangement import Arrangement, difference_walls
-from .cells import enumerate_generic_cells
+from .cells import owned_cells
 from .linalg import canonical_hyperplane
 
 TAG_SO_ODD_V = "so_{2n+1}:V"
@@ -208,7 +209,7 @@ def dedupe_hyperplanes(vectors) -> tuple[tuple[int, ...], ...]:
 
 
 def chamber_cell_counts(tag: str, n: Optional[int] = None):
-    """Counts of chamber cells by dimension for a named system, from the
-    generic sign search.  Meant for the small degenerate checks."""
-    _, counts = enumerate_generic_cells(weight_system(tag, n).arrangement)
-    return counts
+    """Counts of chamber cells by dimension for a named system, tallied from
+    the stream of owned cells.  Meant for the small degenerate checks."""
+    arr = weight_system(tag, n).arrangement
+    return arr.count_row(dim for _, dim, _ in owned_cells(arr, Counter()))

@@ -102,9 +102,9 @@ def sort_key(p: PosetPoint) -> tuple[int, int]:
         raise ValueError(f"{p!r} is not a point of N^2") from None
 
 
-def all_points(n: int, *, include_origin: bool = False) -> list[PosetPoint]:
-    """E*_n (or E_n) listed in (level, b) order."""
-    return _points_between(n, PosetPoint(0, 0), INF, 0 if include_origin else 1)
+def all_points(n: int) -> list[PosetPoint]:
+    """E*_n listed in (level, b) order."""
+    return _points_between(n, PosetPoint(0, 0), INF, 1)
 
 
 def _points_between(n: int, lo: PosetPoint, hi: ExtendedPoint, floor: int = 0) -> list[PosetPoint]:

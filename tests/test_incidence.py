@@ -48,7 +48,7 @@ def test_rays_of_degenerate_regions():
 
 def test_two_point_data_all_admissible():
     for n in range(1, 9):
-        points = all_points(n, include_origin=True)
+        points = [PosetPoint(0, 0), *all_points(n)]
         universe = set(all_points(n))
         for B in points:
             down = {p for p in universe if p <= B}

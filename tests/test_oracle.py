@@ -27,6 +27,7 @@ from weylfan.oracle.cells import (
     cell_feasible,
     enumerate_cells,
     enumerate_generic_cells,
+    owned_cells,
     rays_geometric,
 )
 from weylfan.oracle.flats import enumerate_flats_geometric, enumerate_generic_flats
@@ -899,6 +900,63 @@ def test_a_cut_through_a_square_cone_takes_the_face_fallback():
     _check_cells(square)
 
 
+def test_the_face_fallback_counts_into_the_walk_stats(monkeypatch):
+    # one Counter runs through the walk: the flat search over the facets of
+    # each chamber of the square cone above adds its LPs, pivots and
+    # closures to it, and the LPs and pivots are those that the simplex's
+    # entry points see
+    seen = Counter()
+
+    def counting(lp):
+        def counted(*args, **kwargs):
+            seen["lp_calls"] += 1
+            return lp(*args, **kwargs)
+
+        return counted
+
+    real_max = simplex.simplex_max
+
+    def counted_max(*args, stats=None):
+        own = Counter()
+        result = real_max(*args, stats=own)
+        seen["pivots"] += own["pivots"]
+        if stats is not None:
+            stats["pivots"] += own["pivots"]
+        return result
+
+    monkeypatch.setattr(cell_oracle, "strict_feasible", counting(cell_oracle.strict_feasible))
+    monkeypatch.setattr(flat_oracle, "cone_positive", counting(flat_oracle.cone_positive))
+    monkeypatch.setattr(simplex, "simplex_max", counted_max)
+    square = Arrangement(3, [(1, 0, 0)], [(-1, 0, 1), (1, 0, 1), (0, -1, 1), (0, 1, 1)])
+    stats = Counter()
+    enumerate_generic_cells(square, stats=stats)
+    assert stats["nodes"] == 2 and seen["lp_calls"] > 0
+    assert (stats["lp_calls"], stats["pivots"]) == (seen["lp_calls"], seen["pivots"])
+    assert stats["closures"] > 0
+
+
+def test_the_flat_search_adds_closures_and_leaves_the_flat_count_to_its_caller():
+    arr = gl_arrangement(3)
+    once, twice = Counter(), Counter()
+    flats, _ = enumerate_generic_flats(arr, stats=once)
+    for _ in range(2):
+        enumerate_generic_flats(arr, stats=twice)
+    assert "flats" not in once and once["closures"] > 0
+    assert twice == once + once
+    assert enumerate_flats_geometric(3).stats["flats"] == len(flats)
+
+
+def test_the_stream_yields_each_cell_once():
+    # enumerate_generic_cells is the sorted stream, split into cut and wall
+    # signs; no two cells of the stream share a sign vector
+    for n in range(1, 6):
+        arr = gl_arrangement(n)
+        stream = list(owned_cells(arr, Counter()))
+        assert len({signs for signs, _, _ in stream}) == len(stream)
+        cells, _ = enumerate_generic_cells(arr)
+        assert sorted(stream) == [(c + w, dim, x) for c, w, dim, x in cells]
+
+
 def test_a_wrong_ray_or_witness_fails_the_certificate(monkeypatch):
     # every ray pointing the wrong way: the pivot guesses fail their check,
     # and the LP facets' rays raise, under python -O too
@@ -1070,6 +1128,13 @@ def test_degenerate_chamber_cell_counts():
     assert chamber_cell_counts(wsys.TAG_G2) == [1, 2, 1]
     assert chamber_cell_counts(wsys.TAG_SO_ODD_V, 3) == [1, 3, 3, 1]
     assert chamber_cell_counts(wsys.TAG_SP_V, 3) == [1, 3, 3, 1]
+
+
+def test_chamber_cell_counts_tally_the_sorted_cells():
+    for tag in wsys.TAGS:
+        for n in (None,) if tag in (wsys.TAG_F4, wsys.TAG_G2) else (1, 2, 3):
+            arr = weight_system(tag, n).arrangement
+            assert chamber_cell_counts(tag, n) == enumerate_generic_cells(arr)[1], (tag, n)
 
 
 def test_dedupe_hyperplanes():

@@ -55,7 +55,7 @@ def test_order_axioms_seeded():
     """All four comparisons over every ordered pair of E_5 u {INF}, both
     operands in each place, against the componentwise order with INF on
     top; > and >= come from the reflected <= and <."""
-    elems = all_points(5, include_origin=True) + [INF]
+    elems = [PosetPoint(0, 0), *all_points(5), INF]
     for x, y in itertools.product(elems, repeat=2):
         le, ge = _componentwise_le(x, y), _componentwise_le(y, x)
         assert (x <= y, x < y, x >= y, x > y) == (le, le and x != y, ge, ge and x != y), (x, y)
@@ -352,7 +352,7 @@ def test_pseudo_rank1_n2_explicit():
 @pytest.mark.parametrize("n", range(0, 5))
 def test_pseudo_by_subset_filter(n):
     accepted = {}
-    for subset in powerset(all_points(n, include_origin=True)):
+    for subset in powerset([PosetPoint(0, 0), *all_points(n)]):
         try:
             pe = PseudoEnsemble.from_points(n, subset)
         except ValueError:

@@ -1,10 +1,15 @@
 """The shared depth-first walk, the rule that no function of the package
 recurses (every tree is walked by search.depth_first), the rule that only
-the CLI renders output, the rule that no module imports dataclasses, and
-the audit that every public name of the package has a caller."""
+the CLI renders output, the rule that no module imports dataclasses, the
+audit that every public name of the package has a caller, and the
+benchmark tracer's names and boundaries."""
 
 import ast
 import importlib
+import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -168,6 +173,32 @@ def test_benchmark_layer_names_resolve():
         if not hasattr(importlib.import_module("weylfan." + layer), name)
     ]
     assert missing == []
+
+
+def test_benchmark_boundaries_are_reached(tmp_path, monkeypatch):
+    # each command of the cells and flats workloads runs under the tracer in
+    # a fresh interpreter: together they must call every boundary that the
+    # benchmark expects of the workload, and each command's stats must equal
+    # the LPs and pivots seen at the simplex boundary
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", TRACE_CHILD.with_name("workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    for workload in ("cells", "flats"):
+        called = set()
+        for i, command in enumerate(workloads.build(workload, 0)):
+            out = tmp_path / f"{workload}-{i}.json"
+            subprocess.run(
+                [sys.executable, str(TRACE_CHILD), str(out), "cli", *command.argv],
+                env=env, check=True, stdout=subprocess.DEVNULL,
+            )
+            summary = json.loads(out.read_text(encoding="utf-8"))
+            assert summary["problems"] == [], command.label
+            called |= {key for key, f in summary["functions"].items() if f["calls"]}
+        assert set(workloads.EXPECTED_BOUNDARIES[workload]) <= called, workload
 
 
 def test_every_public_name_has_a_caller():
